@@ -1,33 +1,24 @@
 // Command ccbench benchmarks the exhaustive explorer and maintains the
 // tracked throughput baseline. Each configured run explores a protocol's
-// full reachable space at a given worker count and reports nodes/second
-// plus allocation intensity (allocations and bytes per explored node); the
-// results are written as JSON (BENCH_explore.json) so CI can archive them
-// and compare against the committed baseline.
+// full reachable space and reports nodes/second plus allocation intensity
+// (allocations and bytes per explored node); the results are written as
+// JSON (BENCH_explore.json) together with a record of the box they ran on
+// (GOMAXPROCS, CPU count, memory), so CI can archive them and compare
+// against the committed baseline.
 //
-// Because the parallel explorer is deterministic — byte-identical results
-// at any -parallel setting and under any -dedup engine — the node counts in
-// two runs of the same configuration must agree exactly; ccbench verifies
-// that across the parallelism levels it measures, so a throughput number
-// can never come from a divergent exploration.
+// The explorer is deterministic — one breadth-first walk, byte-identical
+// under every -dedup engine — so the node and state counts of a row must
+// equal the baseline's exactly; ccbench checks that against -against, so a
+// throughput number can never come from a divergent exploration.
 //
 // Usage:
 //
-//	ccbench -proto tree,star,chain -n 3 -maxfail 2 -parallel 1,2,4,8,16 -o BENCH_explore.json
+//	ccbench -proto tree,star,chain -n 3 -maxfail 2 -reduce none,both -o BENCH_explore.json
 //	ccbench -against BENCH_explore.json -tolerance 0.30 -alloc-tolerance 0.20
-//	ccbench -proto tree -maxfail 2 -min-speedup 2
-//	ccbench -proto tree -parallel 1 -cpuprofile cpu.out -memprofile mem.out
+//	ccbench -proto tree -cpuprofile cpu.out -memprofile mem.out
 //
-// -min-speedup additionally requires parallel throughput to beat the
-// sequential run: the highest measured worker count no larger than
-// GOMAXPROCS must reach at least min-speedup times the parallelism-1
-// nodes/sec. The gate is CPU-aware — on a box whose GOMAXPROCS cannot run
-// two workers simultaneously it reports the measured ratio and passes,
-// since no scheduler can extract parallel speedup from one core.
-//
-// Exit codes: 0 ok, 1 error, 2 throughput or allocation regression beyond
-// tolerance against the -against baseline, or parallel speedup below
-// -min-speedup.
+// Exit codes: 0 ok, 1 error, 2 node/state count mismatch, or throughput or
+// allocation regression beyond tolerance, against the -against baseline.
 package main
 
 import (
@@ -37,7 +28,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -52,7 +42,6 @@ type Result struct {
 	Protocol      string  `json:"protocol"`
 	N             int     `json:"n"`
 	MaxFailures   int     `json:"maxFailures"`
-	Parallelism   int     `json:"parallelism"`
 	Nodes         int     `json:"nodes"`
 	States        int     `json:"states"`
 	WallMs        float64 `json:"wallMs"`
@@ -74,20 +63,17 @@ type Result struct {
 	// ReductionFactor is unreduced nodes / reduced nodes, filled when the
 	// same invocation also measured the protocol at -reduce none.
 	ReductionFactor float64 `json:"reductionFactor,omitempty"`
-	// ReplayShare is the fraction of wall time the sequential canonical
-	// replay pass was running (its pool-blocked wait included in
-	// ReplayBlockedShare): the Amdahl ceiling on parallel speedup.
-	ReplayShare        float64 `json:"replayShare,omitempty"`
-	ReplayBlockedShare float64 `json:"replayBlockedShare,omitempty"`
 }
 
-// File is the on-disk shape of BENCH_explore.json. GOMAXPROCS records the
-// actual runtime value at measurement time, so a baseline taken on a
+// File is the on-disk shape of BENCH_explore.json. GOMAXPROCS, NumCPU, and
+// MemTotalMB record the box at measurement time, so a baseline taken on a
 // different machine is recognizably foreign.
 type File struct {
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
+	NumCPU     int      `json:"numCPU"`
+	MemTotalMB int      `json:"memTotalMB,omitempty"`
 	Dedup      string   `json:"dedup"`
 	Repeat     int      `json:"repeat"`
 	Results    []Result `json:"results"`
@@ -102,7 +88,6 @@ func run() int {
 		protoNames = flag.String("proto", "tree,star,chain", "comma-separated protocols to explore")
 		n          = flag.Int("n", 3, "number of processors")
 		maxFail    = flag.Int("maxfail", 2, "maximum injected failures")
-		parallel   = flag.String("parallel", "1,2,4,8,16", "comma-separated worker counts to measure")
 		repeat     = flag.Int("repeat", 3, "runs per configuration; the fastest is reported")
 		reduceList = flag.String("reduce", "none", "comma-separated state-space reductions to measure (none, ample, symmetry, both); a none row in the same run provides the reduction-factor reference")
 		dedupName  = flag.String("dedup", "fingerprint", "visited-set engine: fingerprint, verified, or strings")
@@ -110,17 +95,11 @@ func run() int {
 		against    = flag.String("against", "", "baseline BENCH_explore.json to compare against")
 		tolerance  = flag.Float64("tolerance", 0.30, "allowed fractional nodes/sec regression vs the baseline")
 		allocTol   = flag.Float64("alloc-tolerance", 0.20, "allowed fractional allocs/node regression vs the baseline")
-		minSpeedup = flag.Float64("min-speedup", 0, "require this parallel-vs-sequential nodes/sec ratio (0 disables; skipped when GOMAXPROCS < 2)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file after the runs")
 	)
 	flag.Parse()
 
-	levels, err := parseLevels(*parallel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccbench:", err)
-		return 1
-	}
 	dedup, err := parseDedup(*dedupName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccbench:", err)
@@ -154,6 +133,8 @@ func run() int {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		MemTotalMB: memTotalMB(),
 		Dedup:      dedup.String(),
 		Repeat:     *repeat,
 	}
@@ -165,37 +146,27 @@ func run() int {
 	noneNodes := map[string]int{} // unreduced node count per protocol, for ReductionFactor
 	for _, proto := range protos {
 		for _, red := range reductions {
-			wantNodes := -1
-			for _, par := range levels {
-				res, err := measure(proto, *maxFail, par, *repeat, dedup, red)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "ccbench:", err)
-					return 1
-				}
-				if wantNodes == -1 {
-					wantNodes = res.Nodes
-				} else if res.Nodes != wantNodes {
-					fmt.Fprintf(os.Stderr, "ccbench: determinism breach: parallelism %d explored %d nodes, parallelism %d explored %d\n",
-						levels[0], wantNodes, par, res.Nodes)
-					return 1
-				}
-				if red == consensus.ReduceNone {
-					noneNodes[res.Protocol] = res.Nodes
-				} else if full, ok := noneNodes[res.Protocol]; ok && res.Nodes > 0 {
-					res.ReductionFactor = float64(full) / float64(res.Nodes)
-				}
-				line := fmt.Sprintf("%-16s maxfail=%d parallel=%d  %8d nodes  %8.0f ms  %10.0f nodes/sec  %6.1f allocs/node  %7.0f B/node  replay %3.0f%%",
-					res.Protocol, res.MaxFailures, res.Parallelism, res.Nodes, res.WallMs, res.NodesPerSec,
-					res.AllocsPerNode, res.BytesPerNode, res.ReplayShare*100)
-				if red != consensus.ReduceNone {
-					line += fmt.Sprintf("  reduce=%s ample-avg=%.2f", res.Reduction, res.AmpleAvg)
-					if res.ReductionFactor > 0 {
-						line += fmt.Sprintf(" factor=%.1fx", res.ReductionFactor)
-					}
-				}
-				fmt.Println(line)
-				f.Results = append(f.Results, res)
+			res, err := measure(proto, *maxFail, *repeat, dedup, red)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "ccbench:", err)
+				return 1
 			}
+			if red == consensus.ReduceNone {
+				noneNodes[res.Protocol] = res.Nodes
+			} else if full, ok := noneNodes[res.Protocol]; ok && res.Nodes > 0 {
+				res.ReductionFactor = float64(full) / float64(res.Nodes)
+			}
+			line := fmt.Sprintf("%-16s maxfail=%d  %8d nodes  %8.0f ms  %10.0f nodes/sec  %6.1f allocs/node  %7.0f B/node",
+				res.Protocol, res.MaxFailures, res.Nodes, res.WallMs, res.NodesPerSec,
+				res.AllocsPerNode, res.BytesPerNode)
+			if red != consensus.ReduceNone {
+				line += fmt.Sprintf("  reduce=%s ample-avg=%.2f", res.Reduction, res.AmpleAvg)
+				if res.ReductionFactor > 0 {
+					line += fmt.Sprintf(" factor=%.1fx", res.ReductionFactor)
+				}
+			}
+			fmt.Println(line)
+			f.Results = append(f.Results, res)
 		}
 	}
 
@@ -226,103 +197,30 @@ func run() int {
 		fmt.Printf("wrote %s\n", *out)
 	}
 
-	rc := 0
-	if *minSpeedup > 0 {
-		rc = checkSpeedup(f, *minSpeedup)
-	}
 	if *against != "" {
-		if c := compare(f, *against, *tolerance, *allocTol); c > rc {
-			rc = c
-		}
-	}
-	return rc
-}
-
-// checkSpeedup enforces -min-speedup: for every (protocol, maxfail) group
-// that measured parallelism 1, the highest worker count no larger than
-// GOMAXPROCS must reach min times the sequential nodes/sec. On a machine
-// that cannot schedule two workers at once the ratio is reported but not
-// enforced — the number then measures coordination overhead, not speedup.
-func checkSpeedup(f File, min float64) int {
-	type group struct {
-		proto   string
-		maxFail int
-		reduce  string
-	}
-	base := make(map[group]Result)
-	best := make(map[group]Result)
-	for _, r := range f.Results {
-		g := group{r.Protocol, r.MaxFailures, r.Reduction}
-		if r.Parallelism == 1 {
-			base[g] = r
-		} else if r.Parallelism <= f.GOMAXPROCS && r.Parallelism > best[g].Parallelism {
-			best[g] = r
-		}
-	}
-	enforce := f.GOMAXPROCS >= 2
-	if !enforce {
-		// One core: report against the highest level measured at all.
-		for _, r := range f.Results {
-			g := group{r.Protocol, r.MaxFailures, r.Reduction}
-			if r.Parallelism > best[g].Parallelism {
-				best[g] = r
-			}
-		}
-	}
-	groups := make([]group, 0, len(base))
-	for g := range base { //ccvet:ignore detrange sorted immediately below
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].proto != groups[j].proto {
-			return groups[i].proto < groups[j].proto
-		}
-		if groups[i].maxFail != groups[j].maxFail {
-			return groups[i].maxFail < groups[j].maxFail
-		}
-		return groups[i].reduce < groups[j].reduce
-	})
-	failed := false
-	for _, g := range groups {
-		b := base[g]
-		p, ok := best[g]
-		if !ok || p.Parallelism <= 1 {
-			fmt.Printf("%s/f%d: no parallel level to judge speedup against\n", g.proto, g.maxFail)
-			continue
-		}
-		ratio := p.NodesPerSec / b.NodesPerSec
-		switch {
-		case !enforce:
-			fmt.Printf("%s/f%d: speedup p%d/p1 = %.2fx (GOMAXPROCS=%d, gate skipped: one core cannot run workers in parallel)\n",
-				g.proto, g.maxFail, p.Parallelism, ratio, f.GOMAXPROCS)
-		case ratio < min:
-			fmt.Printf("%s/f%d: SPEEDUP REGRESSION p%d/p1 = %.2fx, want >= %.2fx (GOMAXPROCS=%d)\n",
-				g.proto, g.maxFail, p.Parallelism, ratio, min, f.GOMAXPROCS)
-			failed = true
-		default:
-			fmt.Printf("%s/f%d: ok speedup p%d/p1 = %.2fx (>= %.2fx)\n",
-				g.proto, g.maxFail, p.Parallelism, ratio, min)
-		}
-	}
-	if failed {
-		return 2
+		return compare(f, *against, *tolerance, *allocTol)
 	}
 	return 0
 }
 
-func parseLevels(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -parallel entry %q (want positive integers)", part)
+// memTotalMB reads the box's physical memory from /proc/meminfo; 0 where
+// that file is unavailable.
+func memTotalMB() int {
+	data, err := os.ReadFile("/proc/meminfo")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) >= 2 && fields[0] == "MemTotal:" {
+			kb, err := strconv.Atoi(fields[1])
+			if err != nil {
+				return 0
+			}
+			return kb / 1024
 		}
-		out = append(out, v)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-parallel names no worker counts")
-	}
-	return out, nil
+	return 0
 }
 
 // parseReductions parses the -reduce list. A none entry is moved to the
@@ -364,12 +262,11 @@ func parseDedup(s string) (consensus.Dedup, error) {
 	return 0, fmt.Errorf("bad -dedup %q (want fingerprint, verified, or strings)", s)
 }
 
-func measure(proto consensus.Protocol, maxFail, par, repeat int, dedup consensus.Dedup, red consensus.Reduction) (Result, error) {
+func measure(proto consensus.Protocol, maxFail, repeat int, dedup consensus.Dedup, red consensus.Reduction) (Result, error) {
 	best := Result{
 		Protocol:    proto.Name(),
 		N:           proto.N(),
 		MaxFailures: maxFail,
-		Parallelism: par,
 	}
 	if red != consensus.ReduceNone {
 		best.Reduction = red.String()
@@ -381,10 +278,8 @@ func measure(proto consensus.Protocol, maxFail, par, repeat int, dedup consensus
 		start := time.Now()
 		opts := consensus.CheckOptions{
 			MaxFailures: maxFail,
-			Parallelism: par,
 			Dedup:       dedup,
 			Reduction:   red,
-			Clock:       func() time.Duration { return time.Since(start) },
 		}
 		x, err := consensus.Explore(proto, opts)
 		wall := time.Since(start)
@@ -403,10 +298,6 @@ func measure(proto consensus.Protocol, maxFail, par, repeat int, dedup consensus
 			best.NodesPerSec = float64(x.NodeCount) / wall.Seconds()
 			best.AllocsPerNode = float64(after.Mallocs-before.Mallocs) / float64(x.NodeCount)
 			best.BytesPerNode = float64(after.TotalAlloc-before.TotalAlloc) / float64(x.NodeCount)
-			if wall > 0 {
-				best.ReplayShare = float64(x.ReplayWall) / float64(wall)
-				best.ReplayBlockedShare = float64(x.ReplayBlocked) / float64(wall)
-			}
 			rs := x.Reduction
 			if rs.AmpleNodes > 0 {
 				best.AmpleAvg = float64(rs.AmpleEvents) / float64(rs.AmpleNodes)
@@ -419,11 +310,10 @@ func measure(proto consensus.Protocol, maxFail, par, repeat int, dedup consensus
 	return best, nil
 }
 
-// rowKey identifies a result row for baseline matching. Unreduced rows keep
-// the pre-reduction key shape, so baselines written before the -reduce flag
-// existed still match; reduced rows get a distinct suffix.
+// rowKey identifies a result row for baseline matching: protocol and
+// failure bound, plus a suffix for reduced rows.
 func rowKey(r Result) string {
-	key := fmt.Sprintf("%s/f%d/p%d", r.Protocol, r.MaxFailures, r.Parallelism)
+	key := fmt.Sprintf("%s/f%d", r.Protocol, r.MaxFailures)
 	if r.Reduction != "" && r.Reduction != "none" {
 		key += "/" + r.Reduction
 	}
@@ -431,9 +321,9 @@ func rowKey(r Result) string {
 }
 
 // compare checks every current result against the matching baseline row
-// (same protocol, failure bound, and parallelism): throughput must stay
-// within -tolerance of the baseline, and allocations per node within
-// -alloc-tolerance. Rows missing from the baseline are reported but not
+// (same protocol, failure bound, and reduction): node and state counts
+// must be equal, throughput must stay within -tolerance of the baseline,
+// and allocations per node within -alloc-tolerance. Rows missing from the baseline are reported but not
 // failed, so new configurations can land before the baseline is
 // regenerated.
 func compare(cur File, path string, tolerance, allocTol float64) int {
@@ -458,6 +348,11 @@ func compare(cur File, path string, tolerance, allocTol float64) int {
 		if !ok {
 			fmt.Printf("%s: no baseline row, skipping comparison\n", key)
 			continue
+		}
+		if r.Nodes != b.Nodes || r.States != b.States {
+			fmt.Printf("%s: COUNT MISMATCH %d nodes, %d states vs baseline %d nodes, %d states\n",
+				key, r.Nodes, r.States, b.Nodes, b.States)
+			regressed = true
 		}
 		floor := b.NodesPerSec * (1 - tolerance)
 		if r.NodesPerSec < floor {

@@ -9,7 +9,6 @@
 //	ccexp -quick        # all experiments, skipping the exhaustive passes
 //	ccexp -e E4         # a single experiment
 //	ccexp -deep         # add the N=4 failure-free solver checks to E1–E3
-//	ccexp -parallel 4   # explore with 4 workers (identical results)
 //	ccexp -timeout 30s  # bound the wall clock; partial reports, exit 3
 //	ccexp -reduce both  # reduced conformance passes; with -deep, also
 //	                    # the star(4) one-failure cell (infeasible unreduced)
@@ -35,12 +34,11 @@ func main() {
 
 func run() int {
 	var (
-		which    = flag.String("e", "all", "experiment to run: E1..E9 or all")
-		quick    = flag.Bool("quick", false, "skip the exhaustive model-checking passes")
-		deep     = flag.Bool("deep", false, "add the N=4 failure-free solver checks to E1–E3 (ignored with -quick)")
-		parallel = flag.Int("parallel", 0, "exploration worker count (0 = GOMAXPROCS); results are identical at any setting")
-		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry partial reports are printed and the exit code is 3")
-		reduce   = flag.String("reduce", "none", "state-space reduction for the conformance passes: none, ample, symmetry, both; verdicts are unchanged, and -deep additionally runs the star(4) one-failure cell")
+		which   = flag.String("e", "all", "experiment to run: E1..E9 or all")
+		quick   = flag.Bool("quick", false, "skip the exhaustive model-checking passes")
+		deep    = flag.Bool("deep", false, "add the N=4 failure-free solver checks to E1–E3 (ignored with -quick)")
+		timeout = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry partial reports are printed and the exit code is 3")
+		reduce  = flag.String("reduce", "none", "state-space reduction for the conformance passes: none, ample, symmetry, both; verdicts are unchanged, and -deep additionally runs the star(4) one-failure cell")
 	)
 	flag.Parse()
 
@@ -57,7 +55,7 @@ func run() int {
 		defer cancel()
 	}
 
-	opts := consensus.ExperimentOptions{Quick: *quick, Deep: *deep, Parallelism: *parallel, Context: ctx, Reduction: red}
+	opts := consensus.ExperimentOptions{Quick: *quick, Deep: *deep, Context: ctx, Reduction: red}
 	runners := map[string]func(experiments.Options) experiments.Report{
 		"E1": experiments.E1Figure1Tree,
 		"E2": experiments.E2Figure2Star,

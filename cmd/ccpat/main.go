@@ -38,7 +38,6 @@ func run() error {
 		schemeAll = flag.Bool("scheme", false, "enumerate all failure-free patterns for the inputs")
 		failSpec  = flag.String("fail", "", "failure injections proc:afterStep, comma separated, e.g. 0:4,2:9")
 		trace     = flag.Bool("trace", false, "print the full event trace of the run")
-		parallel  = flag.Int("parallel", 0, "worker count for -scheme enumeration (0 = GOMAXPROCS); results are byte-identical at any setting")
 	)
 	flag.Parse()
 
@@ -61,7 +60,7 @@ func run() error {
 	}
 
 	if *schemeAll {
-		set, err := consensus.EnumeratePatterns(proto, inputs, consensus.SchemeOptions{Parallelism: *parallel})
+		set, err := consensus.EnumeratePatterns(proto, inputs, consensus.SchemeOptions{})
 		if err != nil {
 			return err
 		}

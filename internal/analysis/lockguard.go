@@ -7,7 +7,7 @@ import (
 )
 
 // LockGuardAnalyzer machine-checks the mutex conventions of the concurrent
-// subsystems (the parallel frontier, the live runtime). A struct field
+// subsystems (the chaos sweeper, the live runtime). A struct field
 // annotated
 //
 //	m map[string]V // ccvet:guardedby mu
@@ -18,7 +18,7 @@ import (
 // over a CFG-lite walk of each function body:
 //
 //   - lock state is tracked per access path ("sh.mu", "co.mu"), so the
-//     repo's aliasing idiom `sh := &v.shards[i]; sh.mu.Lock(); sh.m[k] = …`
+//     shard-aliasing idiom `sh := &v.shards[i]; sh.mu.Lock(); sh.m[k] = …`
 //     is understood — the lock call and the field access agree on the base
 //     path, whichever local name the caller picked;
 //   - `defer mu.Unlock()` keeps the lock held to the end of the body;

@@ -1,7 +1,6 @@
 package checker
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/frontier"
@@ -15,20 +14,17 @@ import (
 // fingerprint fast path buys.
 func BenchmarkExploreDedup(b *testing.B) {
 	for _, dedup := range []frontier.Dedup{frontier.DedupStrings, frontier.DedupVerified, frontier.DedupFingerprint} {
-		for _, par := range []int{1, 4} {
-			dedup, par := dedup, par
-			b.Run(fmt.Sprintf("%v/p%d", dedup, par), func(b *testing.B) {
-				b.ReportAllocs()
-				var nodes int
-				for i := 0; i < b.N; i++ {
-					x, err := Explore(protocols.Tree{Procs: 3}, Options{MaxFailures: 2, Parallelism: par, Dedup: dedup})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes = x.NodeCount
+		b.Run(dedup.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes int
+			for i := 0; i < b.N; i++ {
+				x, err := Explore(protocols.Tree{Procs: 3}, Options{MaxFailures: 2, Dedup: dedup})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(nodes), "nodes")
-			})
-		}
+				nodes = x.NodeCount
+			}
+			b.ReportMetric(float64(nodes), "nodes")
+		})
 	}
 }

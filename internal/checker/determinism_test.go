@@ -3,9 +3,9 @@ package checker
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/frontier"
 	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/taxonomy"
@@ -14,9 +14,7 @@ import (
 // panicProto wraps the tree protocol and panics in Receive the moment a
 // failure notice is delivered. The panic value embeds the receiving state's
 // key, so two runs panic with the same value only if they die at the same
-// canonical point: the prefetch pool swallows its copy of the panic and
-// drains, and the replay re-expands the node in canonical order and
-// re-panics — schedule-independently.
+// canonical point of the walk.
 type panicProto struct{ protocols.Tree }
 
 func (p panicProto) Receive(id sim.ProcID, s sim.State, m sim.Message) sim.State {
@@ -26,49 +24,49 @@ func (p panicProto) Receive(id sim.ProcID, s sim.State, m sim.Message) sim.State
 	return p.Tree.Receive(id, s, m)
 }
 
-func explorePanicValue(t *testing.T, par int) (val any) {
+func explorePanicValue(t *testing.T, dedup frontier.Dedup) (val any) {
 	t.Helper()
 	defer func() { val = recover() }()
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	_, _ = ExploreContext(context.Background(), panicProto{protocols.Tree{Procs: 3}},
-		Options{MaxFailures: 1, Parallelism: par, Problem: &prob})
+		Options{MaxFailures: 1, Dedup: dedup, Problem: &prob})
 	return nil
 }
 
 // TestExplorePanicPropagatesDeterministically asserts a protocol panic
-// surfaces to the caller with the same value at every parallelism width —
-// the replay, not the racing pool, decides where the run dies — and that
-// the pool's workers drain instead of deadlocking the test binary.
+// surfaces to the caller, and with the same value under every dedup
+// engine: the walk reaches the panicking transition at the same canonical
+// point whichever visited-set representation it uses.
 func TestExplorePanicPropagatesDeterministically(t *testing.T) {
 	var base any
-	for _, par := range []int{1, 2, 8} {
-		val := explorePanicValue(t, par)
+	for i, dedup := range diffDedups {
+		val := explorePanicValue(t, dedup)
 		if val == nil {
-			t.Fatalf("parallelism %d: protocol panic was swallowed", par)
+			t.Fatalf("%v: protocol panic was swallowed", dedup)
 		}
-		if par == 1 {
+		if i == 0 {
 			base = val
 			continue
 		}
 		if val != base {
-			t.Errorf("parallelism %d: panic value %v, want %v (sequential)", par, val, base)
+			t.Errorf("%v: panic value %v, want %v (%v)", dedup, val, base, diffDedups[0])
 		}
 	}
 }
 
 // cancelAfterProto wraps the star protocol and cancels the exploration's
 // context after a fixed number of Receive calls, so cancellation lands in
-// the middle of a run — while successor batches are in flight between pool
-// workers at parallelism > 1.
+// the middle of the walk.
 type cancelAfterProto struct {
 	protocols.Star
-	calls  *atomic.Int64
+	calls  *int64
 	after  int64
 	cancel context.CancelFunc
 }
 
 func (p cancelAfterProto) Receive(id sim.ProcID, s sim.State, m sim.Message) sim.State {
-	if p.calls.Add(1) == p.after {
+	*p.calls++
+	if *p.calls == p.after {
 		p.cancel()
 	}
 	return p.Star.Receive(id, s, m)
@@ -79,31 +77,29 @@ func (p cancelAfterProto) Receive(id sim.ProcID, s sim.State, m sim.Message) sim
 // contract: Interrupted status, context.Canceled error, some accepted
 // configurations, and a non-empty frontier of accepted-but-unexpanded work.
 func TestExploreCancellationMidRun(t *testing.T) {
-	for _, par := range []int{1, 2, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		proto := cancelAfterProto{
-			Star:   protocols.Star{Procs: 3},
-			calls:  new(atomic.Int64),
-			after:  2_000,
-			cancel: cancel,
-		}
-		prob := problem(taxonomy.WT, taxonomy.TC)
-		x, err := ExploreContext(ctx, proto, Options{MaxFailures: 2, Parallelism: par, Problem: &prob})
-		cancel()
-		if x == nil {
-			t.Fatalf("parallelism %d: nil exploration (err=%v)", par, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled", par, err)
-		}
-		if x.Status != StatusInterrupted {
-			t.Fatalf("parallelism %d: status = %v, want interrupted", par, x.Status)
-		}
-		if x.NodeCount < 1 {
-			t.Fatalf("parallelism %d: interrupted run lost its accepted prefix", par)
-		}
-		if x.FrontierSize < 1 {
-			t.Fatalf("parallelism %d: interrupted mid-space but FrontierSize = 0", par)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	proto := cancelAfterProto{
+		Star:   protocols.Star{Procs: 3},
+		calls:  new(int64),
+		after:  2_000,
+		cancel: cancel,
+	}
+	prob := problem(taxonomy.WT, taxonomy.TC)
+	x, err := ExploreContext(ctx, proto, Options{MaxFailures: 2, Problem: &prob})
+	if x == nil {
+		t.Fatalf("nil exploration (err=%v)", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if x.Status != StatusInterrupted {
+		t.Fatalf("status = %v, want interrupted", x.Status)
+	}
+	if x.NodeCount < 1 {
+		t.Fatal("interrupted run lost its accepted prefix")
+	}
+	if x.FrontierSize < 1 {
+		t.Fatal("interrupted mid-space but FrontierSize = 0")
 	}
 }

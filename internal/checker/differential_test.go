@@ -13,13 +13,6 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// diffParallelism is the set of worker counts the differential suite pits
-// against each other. Parallelism 1 runs the expansion inline with no pool;
-// 2, 8, and 16 exercise the partitioned prefetch pool (and, under -race,
-// the synchronization of the shared visited set, the per-owner routing
-// channels, and the streamed census).
-var diffParallelism = []int{1, 2, 8, 16}
-
 // exploreDigest renders every observable field of an Exploration into one
 // canonical string, so "byte-identical results" is literally a string
 // comparison. Interned state keys and Configs are emitted in discovery
@@ -70,7 +63,7 @@ func sortedSet(m map[string]struct{}) []string {
 	return out
 }
 
-// diffCase is one protocol/options pair checked across parallelism levels.
+// diffCase is one protocol/options pair checked across dedup engines.
 // Budget-capped cases deliberately stop mid-space: the partial result of a
 // budget-exhausted exploration is part of the determinism contract.
 type diffCase struct {
@@ -99,16 +92,15 @@ func diffCases() []diffCase {
 
 // diffDedups is the set of dedup engines the differential suite pits
 // against each other: the string-keyed reference engine, the default
-// fingerprint engine, and the collision-verification engine. Crossed with
-// diffParallelism, every (engine, worker count) pair must reproduce the
-// reference result byte for byte.
+// fingerprint engine, and the collision-verification engine. Every engine
+// must reproduce the reference result byte for byte.
 var diffDedups = []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint, frontier.DedupVerified}
 
 // TestExploreDifferential asserts that exploring every library protocol
-// with every dedup engine at parallelism 1, 2, 8, and 16 produces
-// byte-identical results: node counts, interned state keys, configuration
-// records, the aggregate state census, violations in order, and
-// FirstTrace. The string-keyed sequential run is the reference.
+// with every dedup engine produces byte-identical results: node counts,
+// interned state keys, configuration records, the aggregate state census,
+// violations in order, and FirstTrace. The string-keyed run is the
+// reference.
 func TestExploreDifferential(t *testing.T) {
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,36 +108,33 @@ func TestExploreDifferential(t *testing.T) {
 			var baseDigest, baseErr string
 			first := true
 			for _, dedup := range diffDedups {
-				for _, par := range diffParallelism {
-					opts := tc.opts
-					opts.Parallelism = par
-					opts.Dedup = dedup
-					opts.Problem = &prob
-					opts.TrackTraces = true
-					x, err := ExploreContext(context.Background(), tc.proto, opts)
-					if x == nil {
-						t.Fatalf("%v/parallelism %d: nil exploration (err=%v)", dedup, par, err)
-					}
-					if x.Collisions != 0 {
-						t.Errorf("%v/parallelism %d: %d fingerprint collisions", dedup, par, x.Collisions)
-					}
-					errStr := ""
-					if err != nil {
-						errStr = err.Error()
-					}
-					d := exploreDigest(x)
-					if first {
-						baseDigest, baseErr = d, errStr
-						first = false
-						continue
-					}
-					if errStr != baseErr {
-						t.Errorf("%v/parallelism %d: err = %q, want %q", dedup, par, errStr, baseErr)
-					}
-					if d != baseDigest {
-						t.Errorf("%v/parallelism %d: exploration diverges from string-keyed sequential:\n%s",
-							dedup, par, firstDiff(baseDigest, d))
-					}
+				opts := tc.opts
+				opts.Dedup = dedup
+				opts.Problem = &prob
+				opts.TrackTraces = true
+				x, err := ExploreContext(context.Background(), tc.proto, opts)
+				if x == nil {
+					t.Fatalf("%v: nil exploration (err=%v)", dedup, err)
+				}
+				if x.Collisions != 0 {
+					t.Errorf("%v: %d fingerprint collisions", dedup, x.Collisions)
+				}
+				errStr := ""
+				if err != nil {
+					errStr = err.Error()
+				}
+				d := exploreDigest(x)
+				if first {
+					baseDigest, baseErr = d, errStr
+					first = false
+					continue
+				}
+				if errStr != baseErr {
+					t.Errorf("%v: err = %q, want %q", dedup, errStr, baseErr)
+				}
+				if d != baseDigest {
+					t.Errorf("%v: exploration diverges from string-keyed reference:\n%s",
+						dedup, firstDiff(baseDigest, d))
 				}
 			}
 		})
@@ -153,13 +142,13 @@ func TestExploreDifferential(t *testing.T) {
 }
 
 // TestExploreOmissionDifferential asserts the same determinism contract
-// for omission-faulted explorations: every (dedup engine, parallelism)
-// pair must reproduce the string-keyed sequential result byte for byte —
-// verdict, node counts, and the full state census — with omission budgets
-// enabled, both for complete explorations and for budget-capped partial
-// ones (the mid-merge stop must land on the same node at any worker
-// count). Reductions are disabled under omissions (DESIGN.md §8), so
-// these rows always explore the full graph.
+// for omission-faulted explorations: every dedup engine must reproduce the
+// string-keyed result byte for byte — verdict, node counts, and the full
+// state census — with omission budgets enabled, both for complete
+// explorations and for budget-capped partial ones (the budget stop must
+// land on the same node under every engine). Reductions are disabled
+// under omissions (DESIGN.md §8), so these rows always explore the full
+// graph.
 func TestExploreOmissionDifferential(t *testing.T) {
 	cases := []diffCase{
 		// Complete: the whole omission-augmented space.
@@ -176,36 +165,33 @@ func TestExploreOmissionDifferential(t *testing.T) {
 			var baseDigest, baseErr string
 			first := true
 			for _, dedup := range []frontier.Dedup{frontier.DedupStrings, frontier.DedupFingerprint} {
-				for _, par := range []int{1, 2, 8} {
-					opts := tc.opts
-					opts.Parallelism = par
-					opts.Dedup = dedup
-					opts.Problem = &prob
-					opts.TrackTraces = true
-					x, err := ExploreContext(context.Background(), tc.proto, opts)
-					if x == nil {
-						t.Fatalf("%v/parallelism %d: nil exploration (err=%v)", dedup, par, err)
-					}
-					if x.Collisions != 0 {
-						t.Errorf("%v/parallelism %d: %d fingerprint collisions", dedup, par, x.Collisions)
-					}
-					errStr := ""
-					if err != nil {
-						errStr = err.Error()
-					}
-					d := exploreDigest(x)
-					if first {
-						baseDigest, baseErr = d, errStr
-						first = false
-						continue
-					}
-					if errStr != baseErr {
-						t.Errorf("%v/parallelism %d: err = %q, want %q", dedup, par, errStr, baseErr)
-					}
-					if d != baseDigest {
-						t.Errorf("%v/parallelism %d: omission exploration diverges from string-keyed sequential:\n%s",
-							dedup, par, firstDiff(baseDigest, d))
-					}
+				opts := tc.opts
+				opts.Dedup = dedup
+				opts.Problem = &prob
+				opts.TrackTraces = true
+				x, err := ExploreContext(context.Background(), tc.proto, opts)
+				if x == nil {
+					t.Fatalf("%v: nil exploration (err=%v)", dedup, err)
+				}
+				if x.Collisions != 0 {
+					t.Errorf("%v: %d fingerprint collisions", dedup, x.Collisions)
+				}
+				errStr := ""
+				if err != nil {
+					errStr = err.Error()
+				}
+				d := exploreDigest(x)
+				if first {
+					baseDigest, baseErr = d, errStr
+					first = false
+					continue
+				}
+				if errStr != baseErr {
+					t.Errorf("%v: err = %q, want %q", dedup, errStr, baseErr)
+				}
+				if d != baseDigest {
+					t.Errorf("%v: omission exploration diverges from string-keyed reference:\n%s",
+						dedup, firstDiff(baseDigest, d))
 				}
 			}
 		})
@@ -214,24 +200,24 @@ func TestExploreOmissionDifferential(t *testing.T) {
 
 // TestExploreDifferentialCancelled asserts that a cancelled context yields
 // identical partial results — Status, NodeCount, FrontierSize, and the full
-// digest — at every parallelism level.
+// digest — under every dedup engine.
 func TestExploreDifferentialCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	var baseDigest string
-	for _, par := range diffParallelism {
+	for i, dedup := range diffDedups {
 		x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{
-			MaxFailures: 2, Parallelism: par, Problem: &prob, TrackTraces: true,
+			MaxFailures: 2, Dedup: dedup, Problem: &prob, TrackTraces: true,
 		})
 		if x == nil {
-			t.Fatalf("parallelism %d: nil exploration", par)
+			t.Fatalf("%v: nil exploration", dedup)
 		}
 		if err == nil || x.Status != StatusInterrupted {
-			t.Fatalf("parallelism %d: status = %v, err = %v, want interrupted", par, x.Status, err)
+			t.Fatalf("%v: status = %v, err = %v, want interrupted", dedup, x.Status, err)
 		}
 		d := exploreDigest(x)
-		if par == diffParallelism[0] {
+		if i == 0 {
 			baseDigest = d
 			if x.NodeCount < 1 || x.FrontierSize < 1 {
 				t.Fatalf("cancelled exploration lost its partial snapshot: %d nodes, %d frontier", x.NodeCount, x.FrontierSize)
@@ -239,7 +225,7 @@ func TestExploreDifferentialCancelled(t *testing.T) {
 			continue
 		}
 		if d != baseDigest {
-			t.Errorf("parallelism %d: cancelled partial result diverges:\n%s", par, firstDiff(baseDigest, d))
+			t.Errorf("%v: cancelled partial result diverges:\n%s", dedup, firstDiff(baseDigest, d))
 		}
 	}
 }
@@ -254,7 +240,7 @@ func firstDiff(a, b string) string {
 	}
 	for i := 0; i < n; i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  seq: %s\n  par: %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("digest lengths differ: %d vs %d lines", len(al), len(bl))

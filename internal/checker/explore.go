@@ -5,18 +5,14 @@
 // scenario-replay engine for the indistinguishability arguments of Theorems
 // 8 and 13.
 //
-// The walk is asynchronous and fingerprint-partitioned: Options.Parallelism
-// owner workers each hold a static shard of the 128-bit digest space and
-// exchange successors over bounded channels with no global barrier
-// (frontier.Pool), while a sequential canonical replay pass walks the
-// stored expansions in breadth-first frontier order — re-expanding on
-// demand anything the pool never reached — and alone decides acceptance,
-// violation order, and budget exhaustion. The replay order is canonical,
-// so the final Exploration — node counts, state census, violation order,
-// FirstTrace — is byte-identical at every parallelism level, including the
-// partial results returned on cancellation or budget exhaustion. See
-// internal/frontier for the ownership/quiescence machinery and DESIGN.md
-// for why post-hoc ordering preserves the byte-identical contract.
+// The walk is one single-goroutine FIFO breadth-first search: a node is
+// expanded when it is dequeued, and its successors are admitted to the
+// visited set (frontier.SeqVisited) and recorded in event order. The order
+// of acceptance is therefore canonical (levels, then frontier position,
+// then event order), so the Exploration — node counts, state census,
+// violation order, FirstTrace — is a pure function of the protocol and the
+// options under every dedup engine, including the partial results returned
+// on cancellation or budget exhaustion.
 package checker
 
 import (
@@ -24,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/fingerprint"
 	"repro/internal/frontier"
@@ -58,11 +52,6 @@ type Options struct {
 	// budget shared with scheme.Options). Exceeding it is an error, never
 	// a silent truncation.
 	MaxNodes int
-	// Parallelism is the number of owner workers the partitioned engine
-	// shards the digest space across (0 = GOMAXPROCS; 1 = fully
-	// sequential, no pool at all). The result is byte-identical at any
-	// setting; parallelism only changes wall-clock time.
-	Parallelism int
 	// Problem, if non-nil, enables inline conformance checking: the
 	// decision rule is checked at every decision transition, consistency
 	// at every node, and termination at every terminal node. Violations
@@ -96,12 +85,6 @@ type Options struct {
 	// space while visiting far fewer nodes; see DESIGN.md §8 for what is
 	// and is not preserved.
 	Reduction Reduction
-	// Clock, when non-nil, samples monotonic elapsed time for the
-	// replay-share instrumentation (Exploration.ReplayWall/ReplayBlocked).
-	// The checker itself never reads wall clocks — determinism-critical
-	// code cannot branch on time — so callers that want the measurement
-	// inject one (ccbench passes time.Since of its start).
-	Clock func() time.Duration
 }
 
 func (o Options) maxNodes() int {
@@ -212,12 +195,11 @@ type Exploration struct {
 	// partial, every aggregate below still describes the visited prefix —
 	// partial results are returned, never discarded. The state census is
 	// fed exclusively by accepted configurations, so States, Configs,
-	// Violations, NodeCount, and FrontierSize are all byte-identical at
-	// every parallelism level for complete and budget-exhausted runs; a
-	// mid-run cancellation stops the canonical replay at a timing-dependent
-	// (but still canonical-prefix) point.
+	// Violations, NodeCount, and FrontierSize describe exactly the
+	// canonical prefix of the walk; a mid-run cancellation stops at a
+	// timing-dependent (but still canonical-prefix) point.
 	Status Status
-	// FrontierSize is the number of accepted nodes the canonical walk had
+	// FrontierSize is the number of accepted nodes the walk had
 	// not yet consumed when a partial exploration stopped, counting the
 	// node being walked or rejected (0 for complete explorations).
 	FrontierSize int
@@ -244,13 +226,6 @@ type Exploration struct {
 	// Reduction holds the deterministic reduction counters (zero-valued
 	// for unreduced runs apart from FullNodes/FullEvents).
 	Reduction ReductionStats
-	// ReplayWall and ReplayBlocked measure the sequential canonical
-	// replay when Options.Clock was set: total wall time of the replay
-	// loop, and the portion spent blocked waiting on the prefetch pool.
-	// Their difference over the exploration's wall time is the replay's
-	// Amdahl share. Timing only — never part of the deterministic result.
-	ReplayWall    time.Duration
-	ReplayBlocked time.Duration
 
 	// parents records trace links keyed by canonical node key (strings and
 	// verified dedup); parentsFP records them keyed by node fingerprint
@@ -418,61 +393,45 @@ func Explore(proto sim.Protocol, opts Options) (*Exploration, error) {
 	return ExploreContext(context.Background(), proto, opts)
 }
 
-// succ is one edge generated while expanding a frontier node: the successor
+// succ is one edge generated while expanding a dequeued node: the successor
 // key, the event, and — when the successor was not already visited when the
-// expansion ran — the precomputed node, its interned per-processor state
-// keys, and its violations. Everything here is computed by the expanding
-// worker; the canonical replay only orders and accepts.
+// expansion ran — the materialized node, its interned per-processor state
+// keys, and its violations.
 type succ struct {
 	key      string             // canonical node key; empty under fingerprint dedup
-	fp       fingerprint.Digest // node fingerprint; routing digest under strings dedup at parallelism > 1, zero otherwise
+	fp       fingerprint.Digest // node fingerprint; zero under strings dedup
 	event    sim.Event
 	edgeViol []taxonomy.Violation
-	// nd is nil when the successor was already in the shared visited set
-	// when the expansion ran — in which case the set's admit-implies-stored
-	// invariant lets the replay fetch the materialized node from the pool.
-	// Under fingerprint dedup a nil nd additionally means the successor was
-	// never materialized at all: its fingerprint was derived from the
-	// parent's and found already visited. Under a canonicalizing reduction
-	// with the pool, nd is always set (see expandEvents): the stored class
-	// representative is race-chosen and may be a different sibling, so the
-	// replay must never substitute it for the canonical-order successor.
+	// nd is nil when the successor was already visited when the expansion
+	// ran, so the walk rejects it without materializing. Under fingerprint
+	// dedup a nil nd additionally means the successor was never built at
+	// all: its fingerprint was derived from the parent's and found visited.
 	nd        *node
 	stateKeys []string
 	terminal  bool
 	nodeViol  []taxonomy.Violation
 	// permuted marks a successor whose dedup handle was canonicalized
-	// away from its own frame by a non-identity automorphism; the replay
+	// away from its own frame by a non-identity automorphism; the walk
 	// counts rejected permuted successors as symmetry prunes.
 	permuted bool
 	// elided marks a successor whose dedup handle was computed with dead
-	// letters erased (sim.Config.WithoutDeadBuffers); the replay counts
+	// letters erased (sim.Config.WithoutDeadBuffers); the walk counts
 	// rejected elided successors as elision prunes.
 	elided bool
 }
 
-// expansion is one frontier node's worth of generated edges. reduced marks
-// an ample-set expansion (a strict subset of the enabled events); the
-// replay substitutes the full expansion when the cycle proviso demands it.
+// expansion is one dequeued node's worth of generated edges. reduced marks
+// an ample-set expansion (a strict subset of the enabled events); the walk
+// substitutes the full expansion when the cycle proviso demands it.
 type expansion struct {
 	succs   []succ
 	err     error
 	reduced bool
 }
 
-// eventScratch pools per-expansion event slices so enumerating enabled
-// events allocates nothing in steady state.
-var eventScratch = sync.Pool{
-	New: func() any {
-		s := make([]sim.Event, 0, 64)
-		return &s
-	},
-}
-
-// explorer bundles the shared machinery of one exploration: the visited set
-// and state aggregates are written concurrently by the pool's owner workers
-// and the census goroutines (commutative updates only); everything on x is
-// written solely by the sequential canonical replay.
+// explorer is one exploration: the visited set, the FIFO queue of
+// accepted nodes, and the caches of the fingerprint fast path. It is used
+// by a single goroutine from start to finish.
 type explorer struct {
 	proto       sim.Protocol
 	n           int
@@ -481,28 +440,18 @@ type explorer struct {
 	failAllowed []bool
 	x           *Exploration
 	dedup       frontier.Dedup
-	visited     *frontier.VisitedSet   // strings dedup
-	fpVisited   *frontier.FPVisitedSet // fingerprint dedup
-	fpVerified  *frontier.FPVerifiedSet
-	interner    *frontier.Interner
-	states      *frontier.ShardedMap[*StateInfo]
-	// pool is the asynchronous partitioned prefetch engine (nil at
-	// parallelism 1); seq is the replay's own sequential visited set,
-	// whose admissions — not the pool's — define the result (nil when
-	// pool is nil: with no concurrent admitters the shared set already
-	// fills in canonical order and serves both roles).
-	pool *frontier.Pool[*succ, expansion]
-	seq  *frontier.SeqVisited
-	// routeFP marks strings dedup at parallelism > 1, where successors
-	// additionally carry a routing digest of the canonical key so the
-	// partitioned pool can shard them.
-	routeFP bool
-	// census streams accepted configurations into the state census.
-	census *censusSink
-	// keyCache memoizes state digest → interned state Key string, so the
+	visited     *frontier.SeqVisited
+	// queue holds accepted nodes not yet expanded; head is the next to
+	// expand. Consumed slots are nilled so an expanded node's memory can
+	// be reclaimed once its children are recorded.
+	queue []*node
+	head  int
+	// events is the reused scratch slice for enumerating enabled events.
+	events []sim.Event
+	// keyCache memoizes state digest → state Key string, so the
 	// fingerprint engine builds each distinct state's key exactly once for
 	// the census instead of once per occurrence.
-	keyCache *frontier.FPShardedMap[string]
+	keyCache map[fingerprint.Digest]string
 	// predictor memoizes transition outcomes by input digests, so the fast
 	// path's successor fingerprints cost map probes instead of protocol
 	// callbacks plus state hashing. Fingerprint dedup only.
@@ -516,39 +465,10 @@ type explorer struct {
 	ample    bool
 	elide    bool
 	symPerms []sim.ProcPerm
-	// clock is Options.Clock (nil = no replay timing).
-	clock func() time.Duration
 }
 
-// seen reports whether the successor's dedup handle was already visited
-// when the level started expanding (workers only read; the merge writes).
-func (e *explorer) seen(s *succ) bool {
-	switch e.dedup {
-	case frontier.DedupFingerprint:
-		return e.fpVisited.Seen(s.fp)
-	case frontier.DedupVerified:
-		return e.fpVerified.Seen(s.fp, s.key)
-	default:
-		return e.visited.Seen(s.key)
-	}
-}
-
-// admit marks the successor visited, reporting whether it was new. Merge
-// phase only.
-func (e *explorer) admit(s *succ) bool {
-	switch e.dedup {
-	case frontier.DedupFingerprint:
-		return e.fpVisited.Add(s.fp)
-	case frontier.DedupVerified:
-		return e.fpVerified.Add(s.fp, s.key)
-	default:
-		return e.visited.Add(s.key)
-	}
-}
-
-// stateKeysOf returns the interned per-processor state keys of one
-// materialized configuration. Runs on whatever goroutine expands the node;
-// the interner and key cache are concurrent.
+// stateKeysOf returns the per-processor state keys of one materialized
+// configuration.
 func (e *explorer) stateKeysOf(nd *node) []string {
 	keys := make([]string, e.n)
 	for p := 0; p < e.n; p++ {
@@ -557,85 +477,80 @@ func (e *explorer) stateKeysOf(nd *node) []string {
 	return keys
 }
 
-// censusAdd folds one accepted configuration into the concurrent state
-// census. Every update is a set union, so census workers may process
-// accepted nodes in any order without perturbing the result.
-func (e *explorer) censusAdd(nd *node, keys []string) {
-	for p := 0; p < e.n; p++ {
-		pid := sim.ProcID(p)
-		sample := nd.cfg.States[p]
-		emptyBuffer := len(nd.cfg.Buffers[p]) == 0
-		e.states.Update(keys[p], func(si *StateInfo) *StateInfo {
-			if si == nil {
-				si = &StateInfo{
-					Key:    keys[p],
-					Sample: sample,
-					Procs:  make(map[sim.ProcID]struct{}),
-					Inputs: make(map[string]struct{}),
-					Conc:   make(map[string]struct{}),
-				}
-			}
-			si.Procs[pid] = struct{}{}
-			si.Inputs[nd.vec] = struct{}{}
-			if emptyBuffer {
-				si.SeenEmptyBuffer = true
-			}
-			// Concurrency sets: every pair of states in this
-			// configuration is mutually concurrent.
-			for q := 0; q < e.n; q++ {
-				if q != p {
-					si.Conc[keys[q]] = struct{}{}
-				}
-			}
-			return si
-		})
-	}
-}
-
-// stateKey returns the interned canonical key of nd's processor-p state.
-// The fingerprint engine resolves it through the digest-keyed cache so a
+// stateKey returns the canonical key of nd's processor-p state. The
+// fingerprint engine resolves it through the digest-keyed cache so a
 // state's Key string is built once per distinct state, not once per
-// occurrence; the other engines intern directly (verified mode stays free
-// of any digest-keyed shortcut so its results are exact even under a
-// hash collision).
+// occurrence; the other engines build it and keep the census's copy when
+// the state is already known, so long-lived records share one string
+// (verified mode stays free of any digest-keyed shortcut so its results
+// are exact even under a hash collision).
 func (e *explorer) stateKey(nd *node, p int) string {
 	if e.dedup == frontier.DedupFingerprint {
-		return e.keyCache.GetOrInsert(nd.cfg.StateDigestAt(p), func() string {
-			return e.interner.Intern(nd.cfg.States[p].Key())
-		})
+		d := nd.cfg.StateDigestAt(p)
+		k, ok := e.keyCache[d]
+		if !ok {
+			k = nd.cfg.States[p].Key()
+			e.keyCache[d] = k
+		}
+		return k
 	}
-	return e.interner.Intern(nd.cfg.States[p].Key())
+	k := nd.cfg.States[p].Key()
+	if si := e.x.States[k]; si != nil {
+		return si.Key
+	}
+	return k
 }
 
-// expand generates the successors of one frontier node — the ample subset
-// when ample reduction applies, all of them otherwise. Runs on a pool
-// owner (or on the replay goroutine, for nodes the pool never reached): it
-// must not touch e.x, and its only writes go through the commutative
-// interner/state/key-cache aggregates.
+// censusAdd folds one accepted configuration into the state census.
+func (e *explorer) censusAdd(nd *node, keys []string) {
+	for p := 0; p < e.n; p++ {
+		si := e.x.States[keys[p]]
+		if si == nil {
+			si = &StateInfo{
+				Key:    keys[p],
+				Sample: nd.cfg.States[p],
+				Procs:  make(map[sim.ProcID]struct{}),
+				Inputs: make(map[string]struct{}),
+				Conc:   make(map[string]struct{}),
+			}
+			e.x.States[keys[p]] = si
+		}
+		si.Procs[sim.ProcID(p)] = struct{}{}
+		si.Inputs[nd.vec] = struct{}{}
+		if len(nd.cfg.Buffers[p]) == 0 {
+			si.SeenEmptyBuffer = true
+		}
+		// Concurrency sets: every pair of states in this configuration is
+		// mutually concurrent.
+		for q := 0; q < e.n; q++ {
+			if q != p {
+				si.Conc[keys[q]] = struct{}{}
+			}
+		}
+	}
+}
+
+// expand generates the successors of one dequeued node — the ample subset
+// when ample reduction applies, all of them otherwise.
 func (e *explorer) expand(nd *node) expansion {
 	return e.expandEvents(nd, e.ample)
 }
 
 // expandFull generates every successor regardless of the ample setting;
-// the replay calls it when the cycle proviso rejects a reduced expansion.
+// the walk calls it when the cycle proviso rejects a reduced expansion.
 func (e *explorer) expandFull(nd *node) expansion {
 	return e.expandEvents(nd, false)
 }
 
 func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 	var out expansion
-	scratch := eventScratch.Get().(*[]sim.Event)
-	defer func() {
-		*scratch = (*scratch)[:0]
-		eventScratch.Put(scratch)
-	}()
 	failedCount := 0
 	for p := 0; p < e.n; p++ {
 		if nd.cfg.Faulty(sim.ProcID(p)) {
 			failedCount++
 		}
 	}
-	events := (*scratch)[:0]
+	events := e.events[:0]
 	if tryAmple {
 		if p, ok := ampleProc(nd.cfg); ok {
 			events = e.appendAmpleEvents(events, p, failedCount)
@@ -652,7 +567,7 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 			}
 		}
 	}
-	*scratch = events
+	e.events = events
 	out.succs = make([]succ, 0, len(events))
 	// The fast path predicts each successor's fingerprint incrementally
 	// from the parent's and skips materialization for already-visited
@@ -680,38 +595,11 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 		}
 		nxt := &node{cfg: cfg, ledger: updateLedger(nd.ledger, cfg), inputs: nd.inputs, vec: nd.vec}
 		s := succ{event: ev}
-		switch e.dedup {
-		case frontier.DedupFingerprint:
-			nxt.fp = nodeFP(nxt)
-			s.fp = nxt.fp
-		case frontier.DedupVerified:
-			nxt.ckey = nxt.key()
-			nxt.fp = nodeFP(nxt)
-			s.key, s.fp = nxt.ckey, nxt.fp
-		default:
-			nxt.ckey = nxt.key()
-			s.key = nxt.ckey
-			if e.routeFP {
-				nxt.fp = fingerprint.OfString(nxt.ckey)
-				s.fp = nxt.fp
-			}
-		}
-		if e.canonicalizing() {
-			e.canonicalizeSucc(nxt, &s)
-		}
+		e.setHandle(nxt, &s)
 		if e.opts.Problem != nil {
 			s.edgeViol = decisionEdgeViolations(*e.opts.Problem, nd, nxt)
 		}
-		// Under a canonicalizing reduction one dedup handle covers several
-		// genuinely different configurations (dead-letter and orbit
-		// siblings). The pool's shared set fills in race order, so letting a
-		// shared-set hit drop the materialization would leave the replay to
-		// fetch whichever sibling won the speculative race — its frame,
-		// buffers, and input vector would then leak into the census and the
-		// recorded configurations nondeterministically. With the pool,
-		// canonicalizing expansions therefore always materialize, and the
-		// replay always walks the canonical-order successor's own node.
-		if (e.pool != nil && e.canonicalizing()) || !e.seen(&s) {
+		if !e.visited.Seen(s.fp, s.key) {
 			s.nd = nxt
 			s.terminal = cfg.Quiescent()
 			s.stateKeys = e.stateKeysOf(nxt)
@@ -722,6 +610,26 @@ func (e *explorer) expandEvents(nd *node, tryAmple bool) expansion {
 		out.succs = append(out.succs, s)
 	}
 	return out
+}
+
+// setHandle computes a materialized node's dedup handle — fingerprint,
+// canonical key, or both, as the dedup mode compares — canonicalized when
+// a reduction rewrites handles, and stores it on both the node and its
+// succ.
+func (e *explorer) setHandle(nd *node, s *succ) {
+	switch e.dedup {
+	case frontier.DedupFingerprint:
+		nd.fp = nodeFP(nd)
+	case frontier.DedupVerified:
+		nd.ckey = nd.key()
+		nd.fp = nodeFP(nd)
+	default:
+		nd.ckey = nd.key()
+	}
+	s.fp, s.key = nd.fp, nd.ckey
+	if e.canonicalizing() {
+		e.canonicalizeSucc(nd, s)
+	}
 }
 
 // predictSeen derives the fingerprint that ev's successor node would have
@@ -748,119 +656,39 @@ func (e *explorer) predictSeen(nd *node, ev sim.Event) (fingerprint.Digest, bool
 			fp = fp.Add(fingerprint.OfUint64(uint64(d)).Mixed(saltLedger + uint64(ev.Proc)))
 		}
 	}
-	if !e.fpVisited.Seen(fp) {
+	if !e.visited.Seen(fp, "") {
 		return fingerprint.Digest{}, false
 	}
 	return fp, true
 }
 
-// censusItem is one accepted configuration bound for the state census.
-type censusItem struct {
-	nd   *node
-	keys []string
-}
-
-// censusSink feeds accepted configurations into the concurrent state
-// census. At parallelism 1 it aggregates inline; above that it streams
-// items to census goroutines over a channel so the replay's hot loop never
-// pays for the O(N²) concurrency-set union. Census updates are set unions,
-// so processing order never shows in the snapshot.
-type censusSink struct {
-	e    *explorer
-	ch   chan censusItem
-	wg   sync.WaitGroup
-	once sync.Once
-}
-
-func (e *explorer) newCensusSink(workers int) *censusSink {
-	cs := &censusSink{e: e}
-	if workers <= 1 {
-		return cs
-	}
-	cs.ch = make(chan censusItem, 256)
-	for i := 0; i < workers; i++ {
-		cs.wg.Add(1)
-		go func() {
-			defer cs.wg.Done()
-			for it := range cs.ch {
-				cs.e.censusAdd(it.nd, it.keys)
-			}
-		}()
-	}
-	return cs
-}
-
-func (cs *censusSink) add(nd *node, keys []string) {
-	if cs.ch == nil {
-		cs.e.censusAdd(nd, keys)
-		return
-	}
-	cs.ch <- censusItem{nd: nd, keys: keys}
-}
-
-// close drains the census; idempotent so it can be deferred (releasing the
-// workers when the replay re-panics a deterministic protocol panic) and
-// also called on the happy path before the snapshot.
-func (cs *censusSink) close() {
-	cs.once.Do(func() {
-		if cs.ch != nil {
-			close(cs.ch)
-			cs.wg.Wait()
-		}
-	})
-}
-
-// replayer is the sequential canonical ordering pass that turns the pool's
-// unordered speculative store into a deterministic Exploration: a FIFO walk
-// over accepted nodes reproducing exactly the breadth-first frontier order
-// (levels, then frontier position, then event order) of a sequential
-// exploration. Its own admissions (explorer.seq at parallelism > 1, the
-// shared set otherwise) decide acceptance; the pool is consulted only as a
-// cache of prefetched nodes and expansions, with on-demand re-expansion
-// covering whatever the pool dropped — so the result is a pure function of
-// the root set at every parallelism level.
-type replayer struct {
-	e *explorer
-	// queue holds accepted nodes not yet consumed by the walk; head is
-	// the next to walk. Consumed slots are nilled so a walked node's
-	// memory can be reclaimed once its children are recorded.
-	queue []*node
-	head  int
-}
-
 // frontierLeft is the partial-stop frontier measure: accepted nodes the
-// walk has not consumed, counting the node being walked (or the one whose
-// acceptance was rejected).
-func (r *replayer) frontierLeft() int { return len(r.queue) - r.head + 1 }
+// walk has not consumed, counting the node being expanded (or the one
+// whose acceptance was rejected).
+func (e *explorer) frontierLeft() int { return len(e.queue) - e.head + 1 }
 
-// run walks the canonical order from the synthetic root expansion to
+// run walks breadth-first from the synthetic root expansion to
 // completion, budget exhaustion, first violation, or interruption. It also
-// enforces the ample cycle proviso — a reduced expansion with an
-// already-visited successor is re-expanded in full before walking — and
-// counts the reduction statistics, both purely from the canonical order so
-// reduced results stay byte-identical at every parallelism level.
-func (r *replayer) run(ctx context.Context, roots []succ) error {
-	e, x := r.e, r.e.x
-	if e.clock != nil {
-		start := e.clock()
-		defer func() { x.ReplayWall = e.clock() - start }()
-	}
+// enforces the ample cycle proviso — a reduced expansion with no new
+// successor is re-expanded in full before walking — and counts the
+// reduction statistics.
+func (e *explorer) run(ctx context.Context, roots []succ) error {
+	x := e.x
 	rootExp := expansion{succs: roots}
-	stop, err := r.walk(nil, &rootExp)
-	for err == nil && !stop && r.head < len(r.queue) {
-		nd := r.queue[r.head]
-		r.queue[r.head] = nil
-		r.head++
-		exp, cerr := r.expansionOf(ctx, nd)
-		if cerr != nil {
+	stop, err := e.walk(nil, &rootExp)
+	for err == nil && !stop && e.head < len(e.queue) {
+		nd := e.queue[e.head]
+		e.queue[e.head] = nil
+		e.head++
+		if cerr := ctx.Err(); cerr != nil {
 			x.Status = StatusInterrupted
-			x.FrontierSize = r.frontierLeft()
+			x.FrontierSize = e.frontierLeft()
 			return fmt.Errorf("checker: exploration of %s interrupted: %w", e.proto.Name(), cerr)
 		}
-		if exp.reduced && r.provisoHit(exp) {
+		exp := e.expand(nd)
+		if exp.reduced && provisoHit(&exp) {
 			x.Reduction.ProvisoFallbacks++
-			full := e.expandFull(nd)
-			exp = &full
+			exp = e.expandFull(nd)
 		}
 		if exp.err == nil {
 			if exp.reduced {
@@ -871,162 +699,30 @@ func (r *replayer) run(ctx context.Context, roots []succ) error {
 				x.Reduction.FullEvents += int64(len(exp.succs))
 			}
 		}
-		stop, err = r.walk(nd, exp)
+		stop, err = e.walk(nd, &exp)
 	}
 	return err
-}
-
-// expansionOf fetches nd's expansion from the pool when prefetched, and
-// re-expands on demand otherwise — the node was dropped by the cap, a
-// panic, or a stop. The context check comes first, before the prefetch
-// lookup, so cancellation interrupts the walk at the same canonical
-// boundary (a dequeue) whether or not the pool got ahead of it.
-//
-// Under a canonicalizing reduction a prefetched expansion is only reused
-// when the pool's stored representative is content-identical to the
-// canonical-order node (sameNode): the store keeps whichever sibling of the
-// canonical class won the speculative race, and an expansion computed from
-// a different sibling would leak that sibling's frame into the walk. The
-// mismatch path re-expands on the replay goroutine while owners may still
-// be running; that is safe because expansion reads only the immutable
-// parent node and concurrent-safe interners, and under canonicalization it
-// never consults the racing shared set (succs always materialize).
-func (r *replayer) expansionOf(ctx context.Context, nd *node) (*expansion, error) {
-	e := r.e
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.pool != nil {
-		stored, exp, state := r.waitEntry(frontier.NodeKey{FP: nd.fp, Key: nd.ckey}, true)
-		if state == frontier.EntryExpanded && r.reusable(stored, nd) {
-			return &exp, nil
-		}
-		// WaitEntry only reports a miss once the pool has drained; with
-		// the pool stopped by cancellation, the context error may have
-		// arrived while waiting.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	exp := e.expand(nd)
-	return &exp, nil
-}
-
-// waitEntry is the pool's WaitEntry with the blocked time folded into the
-// replay-share instrumentation when a clock was injected.
-func (r *replayer) waitEntry(k frontier.NodeKey, take bool) (*succ, expansion, frontier.EntryState) {
-	if r.e.clock == nil {
-		return r.e.pool.WaitEntry(k, take)
-	}
-	t0 := r.e.clock()
-	s, exp, st := r.e.pool.WaitEntry(k, take)
-	r.e.x.ReplayBlocked += r.e.clock() - t0
-	return s, exp, st
 }
 
 // countPrune attributes a rejected successor to the canonicalization that
 // rewrote its handle: symmetry when a non-identity automorphism won (it
 // strictly improved on the already-erased identity handle), dead-letter
 // elision otherwise.
-func (r *replayer) countPrune(s *succ) {
+func (e *explorer) countPrune(s *succ) {
 	switch {
 	case s.permuted:
-		r.e.x.Reduction.SymmetryPrunes++
+		e.x.Reduction.SymmetryPrunes++
 	case s.elided:
-		r.e.x.Reduction.ElisionPrunes++
+		e.x.Reduction.ElisionPrunes++
 	}
 }
 
-// reusable reports whether a prefetched expansion — computed by a pool
-// owner from the store's representative for nd's dedup handle — can stand
-// in for the expansion of the canonical-order node nd. Expansion is a pure
-// function of the source node's full content including the channel
-// sequence counters, which the dedup handle deliberately excludes: two
-// handle-equal nodes can disagree on the identities future messages would
-// get, and which one the speculative store kept is a race. Under a
-// canonicalizing reduction the stored node may further be a different
-// class sibling entirely (other frame, other dead letters, other inputs),
-// so the full own-frame content is compared; otherwise handle equality
-// already pins the content (exactly under the key-bearing engines, modulo
-// digest collision under fingerprint dedup) and only the counters need
-// checking. A mismatch makes the caller re-expand from nd on demand.
-func (r *replayer) reusable(stored *succ, nd *node) bool {
-	if stored == nil || stored.nd == nil {
-		return false
-	}
-	if stored.nd == nd {
-		return true
-	}
-	if r.e.canonicalizing() {
-		return sameNode(stored.nd, nd)
-	}
-	return stored.nd.cfg.SameChannelSeqs(nd.cfg)
-}
-
-// resolve admits one successor against the replay's visited set and
-// resolves its materialized node: from the succ itself when the expanding
-// worker materialized it, re-derived from the walked parent when the
-// successor was already in the racy shared set at expansion time. The
-// store's admitted-implies-stored representative is NOT adopted: it is
-// content-equal by handle but its channel sequence counters may have
-// drifted (and under canonicalization it may be a different class sibling
-// entirely), and which representative the store kept is a race — the
-// canonical replay must record the node the parallelism-1 walk would have.
-// Rejected successors whose handle was rewritten by a canonicalization
-// count as symmetry or elision prunes.
-func (r *replayer) resolve(parent *node, s *succ) (*succ, bool, error) {
-	e := r.e
-	if e.pool == nil {
-		if s.nd == nil || !e.admit(s) {
-			r.countPrune(s)
-			return nil, false, nil
-		}
-		return s, true, nil
-	}
-	if !e.seq.Admit(s.fp, s.key) {
-		r.countPrune(s)
-		return nil, false, nil
-	}
-	if s.nd == nil {
-		if err := r.materialize(parent, s); err != nil {
-			return nil, false, err
-		}
-	}
-	return s, true, nil
-}
-
-// materialize builds the accepted successor's node from the walked parent —
-// the same derivation expandEvents performs, applied to the canonical-order
-// parent so the node's content (including channel sequence counters) is a
-// pure function of the canonical walk. Only reached with the pool, for
-// accepted successors whose expansion found the handle already in the
-// shared set; roots are always materialized.
-func (r *replayer) materialize(parent *node, s *succ) error {
-	e := r.e
-	if parent == nil {
-		panic("checker: unmaterialized root successor")
-	}
-	cfg, _, err := sim.Apply(e.proto, parent.cfg, s.event)
-	if err != nil {
-		return fmt.Errorf("checker: exploring %s: %w", e.proto.Name(), err)
-	}
-	nxt := &node{cfg: cfg, ledger: updateLedger(parent.ledger, cfg), inputs: parent.inputs, vec: parent.vec}
-	nxt.fp, nxt.ckey = s.fp, s.key
-	s.nd = nxt
-	s.terminal = cfg.Quiescent()
-	s.stateKeys = e.stateKeysOf(nxt)
-	if e.opts.Problem != nil {
-		s.nodeViol = nodeViolations(*e.opts.Problem, nxt)
-	}
-	return nil
-}
-
-// walk folds one node's expansion into the exploration in canonical order
-// (the node's edges in event order). stop is set when the exploration
-// should end with the current partial result (first violation reached, or
-// budget exhausted — the latter also carries a *BudgetError).
-func (r *replayer) walk(parent *node, exp *expansion) (stop bool, err error) {
-	e, x := r.e, r.e.x
+// walk folds one node's expansion into the exploration (the node's edges
+// in event order). stop is set when the exploration should end with the
+// current partial result (first violation reached, or budget exhausted —
+// the latter also carries a *BudgetError).
+func (e *explorer) walk(parent *node, exp *expansion) (stop bool, err error) {
+	x := e.x
 	if exp.err != nil {
 		return false, exp.err
 	}
@@ -1049,33 +745,30 @@ func (r *replayer) walk(parent *node, exp *expansion) (stop bool, err error) {
 		if e.opts.StopAtFirstViolation && len(x.Violations) > 0 {
 			return true, nil
 		}
-		acc, ok, rerr := r.resolve(parent, s)
-		if rerr != nil {
-			return false, rerr
-		}
-		if !ok {
+		if s.nd == nil || !e.visited.Admit(s.fp, s.key) {
+			e.countPrune(s)
 			continue
 		}
 		if len(x.Configs) >= e.opts.maxNodes() {
 			x.Status = StatusExhausted
-			x.FrontierSize = r.frontierLeft()
+			x.FrontierSize = e.frontierLeft()
 			return true, &BudgetError{Protocol: e.proto.Name(), Nodes: e.opts.maxNodes()}
 		}
-		e.record(acc)
-		e.census.add(acc.nd, acc.stateKeys)
-		for _, v := range acc.nodeViol {
-			x.addViolation(v, acc)
+		e.record(s)
+		e.censusAdd(s.nd, s.stateKeys)
+		for _, v := range s.nodeViol {
+			x.addViolation(v, s)
 		}
 		if e.opts.StopAtFirstViolation && len(x.Violations) > 0 {
 			return true, nil
 		}
-		r.queue = append(r.queue, acc.nd)
+		e.queue = append(e.queue, s.nd)
 	}
 	return false, nil
 }
 
 // record accepts one newly discovered configuration: assigns interned state
-// indices in discovery order and appends the ConfigRecord. Merge-phase only.
+// indices in discovery order and appends the ConfigRecord.
 func (e *explorer) record(s *succ) {
 	x := e.x
 	idx := make([]int32, len(s.stateKeys))
@@ -1090,8 +783,7 @@ func (e *explorer) record(s *succ) {
 	}
 	// The ledger is aliased, not copied: updateLedger builds a fresh slice
 	// per node and nothing mutates one after construction, so the record
-	// can share it. (Dropping the copy removed a per-node allocation from
-	// the replay pass, the sequential Amdahl bottleneck.)
+	// can share it.
 	x.Configs = append(x.Configs, ConfigRecord{
 		StateIdx:  idx,
 		Ledger:    s.nd.ledger,
@@ -1103,19 +795,10 @@ func (e *explorer) record(s *succ) {
 	}
 }
 
-// finalize publishes the aggregate state census, the node count, and (in
-// verified mode) the collision count — from the replay's sequential set
-// when the pool ran, so the count reflects canonical admissions only.
+// finalize publishes the node count and the collision count.
 func (e *explorer) finalize() {
-	e.census.close()
-	e.x.States = e.states.Snapshot()
 	e.x.NodeCount = len(e.x.Configs)
-	switch {
-	case e.seq != nil && e.dedup == frontier.DedupVerified:
-		e.x.Collisions = e.seq.Collisions()
-	case e.fpVerified != nil && e.seq == nil:
-		e.x.Collisions = e.fpVerified.Collisions()
-	}
+	e.x.Collisions = e.visited.Collisions()
 }
 
 // ExploreContext is Explore with graceful degradation: on context
@@ -1145,6 +828,9 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 		}
 	} else {
 		for _, p := range opts.FailProcs {
+			if int(p) < 0 || int(p) >= n {
+				return nil, fmt.Errorf("checker: FailProcs entry %d out of range for %d processors", p, n)
+			}
 			failAllowed[p] = true
 		}
 	}
@@ -1152,6 +838,7 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 	x := &Exploration{
 		Proto:    proto,
 		Opts:     opts,
+		States:   make(map[string]*StateInfo),
 		stateIdx: make(map[string]int32),
 	}
 	if opts.TrackTraces {
@@ -1170,24 +857,13 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 		failAllowed: failAllowed,
 		x:           x,
 		dedup:       opts.Dedup,
-		interner:    frontier.NewInterner(),
-		states:      frontier.NewShardedMap[*StateInfo](),
+		visited:     frontier.NewSeqVisited(opts.Dedup),
 	}
-	switch opts.Dedup {
-	case frontier.DedupFingerprint:
-		e.fpVisited = frontier.NewFPVisitedSet()
-		e.keyCache = frontier.NewFPShardedMap[string]()
+	if opts.Dedup == frontier.DedupFingerprint {
+		e.keyCache = make(map[fingerprint.Digest]string)
 		e.predictor = sim.NewPredictor()
-	case frontier.DedupVerified:
-		e.fpVerified = frontier.NewFPVerifiedSet()
-	default:
-		e.visited = frontier.NewVisitedSet()
 	}
 	e.initReduction()
-	e.clock = opts.Clock
-
-	workers := frontier.Parallelism(opts.Parallelism)
-	e.routeFP = opts.Dedup == frontier.DedupStrings && workers > 1
 
 	// Level 0: one root per requested input vector, walked through the
 	// same path as every other node (no parent links, no decision edge).
@@ -1197,28 +873,10 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 			return nil, fmt.Errorf("checker: input vector %v has length %d, want %d", inputs, len(inputs), n)
 		}
 		start := &node{cfg: sim.NewConfigOmission(proto, inputs, pol), ledger: make([]sim.Decision, n), inputs: inputs, vec: inputsKey(inputs)}
+		// Symmetric input vectors share a canonical handle; admission
+		// keeps the first root of each class.
 		s := succ{nd: start, terminal: start.cfg.Quiescent()}
-		switch opts.Dedup {
-		case frontier.DedupFingerprint:
-			start.fp = nodeFP(start)
-			s.fp = start.fp
-		case frontier.DedupVerified:
-			start.ckey = start.key()
-			start.fp = nodeFP(start)
-			s.key, s.fp = start.ckey, start.fp
-		default:
-			start.ckey = start.key()
-			s.key = start.ckey
-			if e.routeFP {
-				start.fp = fingerprint.OfString(start.ckey)
-				s.fp = start.fp
-			}
-		}
-		if e.canonicalizing() {
-			// Symmetric input vectors collapse to one explored root; the
-			// replay's admission keeps the first.
-			e.canonicalizeSucc(start, &s)
-		}
+		e.setHandle(start, &s)
 		if x.rootKeys != nil {
 			// First-wins: under symmetry two roots can share a canonical
 			// fingerprint, and the admitted one is the first.
@@ -1233,31 +891,7 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 		roots = append(roots, s)
 	}
 
-	if workers > 1 {
-		// The partitioned pool speculatively admits (shared set) and
-		// expands ahead of the replay; it may overshoot the node budget
-		// or stop early — the replay is the only authority on results.
-		e.seq = frontier.NewSeqVisited(opts.Dedup)
-		pool := frontier.NewPool(frontier.PoolOptions[*succ, expansion]{
-			Workers: workers,
-			Cap:     int64(opts.maxNodes()),
-			KeyOf:   func(s *succ) frontier.NodeKey { return frontier.NodeKey{FP: s.fp, Key: s.key} },
-			Admit:   func(s *succ) bool { return e.admit(s) },
-			Expand:  e.expandForPool,
-		})
-		e.pool = pool
-		rootPtrs := make([]*succ, len(roots))
-		for i := range roots {
-			rootPtrs[i] = &roots[i]
-		}
-		pool.Start(ctx, rootPtrs)
-		defer pool.Close()
-	}
-	e.census = e.newCensusSink(workers)
-	defer e.census.close()
-
-	r := &replayer{e: e}
-	err := r.run(ctx, roots)
+	err := e.run(ctx, roots)
 	if err != nil {
 		var be *BudgetError
 		if errors.As(err, &be) {
@@ -1268,31 +902,11 @@ func ExploreContext(ctx context.Context, proto sim.Protocol, opts Options) (*Exp
 			e.finalize()
 			return x, err
 		}
-		// A protocol error (sim.Apply failed) aborts with no result,
-		// matching the previous explorer.
+		// A protocol error (sim.Apply failed) aborts with no result.
 		return nil, err
 	}
 	e.finalize()
 	return x, nil
-}
-
-// expandForPool is the pool's Expand callback: it generates the node's
-// successors and routes onward every materialized one (a nil-node succ is
-// already in the shared set and needs no owner). A protocol error stops
-// the pool — the replay re-derives and reports it in canonical order.
-func (e *explorer) expandForPool(s *succ) (expansion, []*succ) {
-	exp := e.expand(s.nd)
-	if exp.err != nil {
-		e.pool.Stop()
-		return exp, nil
-	}
-	var routed []*succ
-	for j := range exp.succs {
-		if exp.succs[j].nd != nil {
-			routed = append(routed, &exp.succs[j])
-		}
-	}
-	return exp, routed
 }
 
 // BudgetError reports that exploration exceeded its node budget.

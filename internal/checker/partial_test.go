@@ -3,9 +3,11 @@ package checker
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/sim"
 	"repro/internal/taxonomy"
 )
 
@@ -62,37 +64,37 @@ func TestBudgetExhaustionKeepsPartialResults(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionExactAtEveryWidth sweeps the exact-MaxNodes contract
-// across parallelism widths: whether the expansion is inline (width 1) or
-// speculatively prefetched by 2, 8, or 16 pool workers, the canonical replay
-// accepts exactly MaxNodes configurations, reports Exhausted, and leaves a
+// TestBudgetExhaustionExactUnderEveryDedup sweeps the exact-MaxNodes
+// contract across the dedup engines: whether successors are admitted by
+// fingerprint, verified fingerprint, or canonical key, the walk accepts
+// exactly MaxNodes configurations, reports Exhausted, and leaves a
 // non-empty frontier. The budget cut lands mid-space for star at two
-// failures, so the stop happens in the middle of a merge, not at a level
-// boundary.
-func TestBudgetExhaustionExactAtEveryWidth(t *testing.T) {
+// failures, so the stop happens in the middle of an expansion, not at a
+// level boundary.
+func TestBudgetExhaustionExactUnderEveryDedup(t *testing.T) {
 	const budget = 6_000
-	for _, par := range []int{1, 2, 8, 16} {
+	for _, dedup := range diffDedups {
 		x, err := CheckContext(context.Background(), protocols.Star{Procs: 3},
 			problem(taxonomy.WT, taxonomy.TC),
-			Options{MaxFailures: 2, MaxNodes: budget, Parallelism: par})
+			Options{MaxFailures: 2, MaxNodes: budget, Dedup: dedup})
 		if x == nil {
-			t.Fatalf("width %d: exhausted exploration must still return the partial Exploration", par)
+			t.Fatalf("%v: exhausted exploration must still return the partial Exploration", dedup)
 		}
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Nodes != budget {
-			t.Fatalf("width %d: err = %v, want *BudgetError with Nodes=%d", par, err, budget)
+			t.Fatalf("%v: err = %v, want *BudgetError with Nodes=%d", dedup, err, budget)
 		}
 		if x.Status != StatusExhausted {
-			t.Fatalf("width %d: status = %v, want exhausted", par, x.Status)
+			t.Fatalf("%v: status = %v, want exhausted", dedup, x.Status)
 		}
 		if x.NodeCount != budget {
-			t.Fatalf("width %d: NodeCount = %d, want exactly the budget %d", par, x.NodeCount, budget)
+			t.Fatalf("%v: NodeCount = %d, want exactly the budget %d", dedup, x.NodeCount, budget)
 		}
 		if len(x.Configs) != budget {
-			t.Fatalf("width %d: len(Configs) = %d, want exactly the budget %d", par, len(x.Configs), budget)
+			t.Fatalf("%v: len(Configs) = %d, want exactly the budget %d", dedup, len(x.Configs), budget)
 		}
 		if x.FrontierSize == 0 {
-			t.Fatalf("width %d: exhausted mid-space but FrontierSize = 0", par)
+			t.Fatalf("%v: exhausted mid-space but FrontierSize = 0", dedup)
 		}
 	}
 }
@@ -104,5 +106,21 @@ func TestCompleteExplorationHasCompleteStatus(t *testing.T) {
 	}
 	if x.FrontierSize != 0 {
 		t.Fatalf("complete exploration left %d frontier nodes", x.FrontierSize)
+	}
+}
+
+// TestExploreRejectsOutOfRangeFailProcs: a FailProcs entry outside
+// [0, N) is a caller error reported like a wrong-length input vector,
+// never an index-out-of-range panic.
+func TestExploreRejectsOutOfRangeFailProcs(t *testing.T) {
+	for _, p := range []sim.ProcID{-1, 3, 64} {
+		x, err := ExploreContext(context.Background(), protocols.Tree{Procs: 3},
+			Options{MaxFailures: 1, FailProcs: []sim.ProcID{0, p}})
+		if err == nil || x != nil {
+			t.Fatalf("FailProcs {0, %d}: got (%v, %v), want nil exploration and an error", p, x, err)
+		}
+		if !strings.Contains(err.Error(), "FailProcs") {
+			t.Fatalf("FailProcs {0, %d}: error %q does not name FailProcs", p, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package checker
 import (
 	"fmt"
 
-	"repro/internal/fingerprint"
 	"repro/internal/frontier"
 	"repro/internal/sim"
 	"repro/internal/symmetry"
@@ -78,8 +77,8 @@ func (r Reduction) ample() bool { return r == ReduceAmple || r == ReduceBoth }
 func (r Reduction) usesSymmetry() bool { return r == ReduceSymmetry || r == ReduceBoth }
 
 // ReductionStats are the deterministic reduction counters of one
-// exploration, all counted by the canonical replay so they are
-// byte-identical at every parallelism level.
+// exploration, all counted by the breadth-first walk in its canonical
+// order.
 type ReductionStats struct {
 	// AmpleNodes / FullNodes split the walked expansions into reduced
 	// (ample subset) and full ones. Unreduced runs count everything in
@@ -90,7 +89,7 @@ type ReductionStats struct {
 	// generated; AmpleEvents/AmpleNodes is the average ample-set size.
 	AmpleEvents int64
 	FullEvents  int64
-	// ProvisoFallbacks counts reduced expansions the replay re-expanded in
+	// ProvisoFallbacks counts reduced expansions the walk re-expanded in
 	// full because every reduced successor was already visited (the ample
 	// progress proviso; see provisoHit). They are counted under FullNodes.
 	ProvisoFallbacks int
@@ -119,7 +118,7 @@ type ReductionStats struct {
 // taking an ample event first (C1), the set is nonempty whenever any event
 // is enabled at a non-quiescent configuration with a Sending processor
 // (C0), and deferred events stay enabled. The cycle condition is enforced
-// at replay time by provisoHit.
+// at walk time by provisoHit.
 func ampleProc(cfg *sim.Config) (sim.ProcID, bool) {
 	for p := range cfg.States {
 		if cfg.States[p].Kind() == sim.Sending {
@@ -140,8 +139,8 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 }
 
 // provisoHit reports whether every successor of a reduced expansion is
-// already in the canonical visited set; the replay then substitutes the
-// full expansion. This is the breadth-first form of the ample progress
+// already in the visited set; the walk then substitutes the full
+// expansion. This is the breadth-first form of the ample progress
 // proviso (Bošnački/Holzmann): every walked reduced expansion either
 // discovers at least one new state or is expanded in full, so the
 // exploration can never spin over a closed reduced component while
@@ -157,18 +156,11 @@ func (e *explorer) appendAmpleEvents(events []sim.Event, p sim.ProcID, failedCou
 // the six-problem lattice never asks for) would need the stricter
 // any-revisit fallback, documented and rejected in DESIGN.md §8.
 //
-// At parallelism 1 the shared visited set is the canonical set and expand
-// consults it inline, so a nil successor node means visited; with the pool
-// the canonical set is the replay's own SeqVisited.
-func (r *replayer) provisoHit(exp *expansion) bool {
-	e := r.e
+// expand consults the visited set inline, so a nil successor node means
+// the successor was already visited.
+func provisoHit(exp *expansion) bool {
 	for j := range exp.succs {
-		s := &exp.succs[j]
-		if e.pool != nil {
-			if !e.seq.Seen(s.fp, s.key) {
-				return false
-			}
-		} else if s.nd != nil {
+		if exp.succs[j].nd != nil {
 			return false
 		}
 	}
@@ -204,8 +196,8 @@ func (e *explorer) canonicalizing() bool {
 // reachable and traces replay unchanged — only the handle is canonical,
 // so the first-reached member of a class represents the class.
 //
-// Runs wherever expand runs; WithoutDeadBuffers and sim.PermuteConfig are
-// pure, so this is safe on pool workers and deterministic for the replay.
+// WithoutDeadBuffers and sim.PermuteConfig are pure, so the handle is a
+// function of the node alone.
 func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
 	base := nxt.cfg
 	if e.elide {
@@ -251,40 +243,7 @@ func (e *explorer) canonicalizeSucc(nxt *node, s *succ) {
 		nxt.fp, nxt.ckey = s.fp, s.key
 	default:
 		nxt.ckey = s.key
-		if e.routeFP {
-			nxt.fp = fingerprint.OfString(nxt.ckey)
-			s.fp = nxt.fp
-		}
 	}
-}
-
-// sameNode reports whether two materialized nodes are interchangeable as
-// expansion sources: identical configuration content in their own frames
-// (states, all buffers including dead letters, inputs — compared by the
-// configuration's own fingerprint), identical channel sequence counters
-// (they decide the identities of future messages, and Key/Fingerprint
-// exclude them), identical decision ledgers, and the same input vector
-// label. Expansion is a pure function of exactly that content, so when
-// sameNode holds, an expansion prefetched from a is byte-equivalent to one
-// computed from b. Used by the canonical replay to decide whether the
-// pool's stored class representative can stand in for the canonical-order
-// node.
-func sameNode(a, b *node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a == b {
-		return true
-	}
-	if a.vec != b.vec || len(a.ledger) != len(b.ledger) {
-		return false
-	}
-	for p := range a.ledger {
-		if a.ledger[p] != b.ledger[p] {
-			return false
-		}
-	}
-	return a.cfg.SameChannelSeqs(b.cfg) && a.cfg.Fingerprint() == b.cfg.Fingerprint()
 }
 
 // permuteLedger relabels a decision ledger: processor p's decision moves

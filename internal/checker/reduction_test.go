@@ -31,11 +31,13 @@ import (
 //     FirstTrace, a conforming one carries none.
 //
 // Reduced runs must additionally be deterministic: byte-identical results
-// per (mode, dedup engine) across parallelism levels, including
-// budget-partial and cancelled runs.
+// per (mode, dedup engine) across repeated runs, including budget-partial
+// and cancelled runs.
 var reductionModes = []Reduction{ReduceAmple, ReduceSymmetry, ReduceBoth}
 
-var reductionParallelism = []int{1, 8}
+// reductionRepeats is how often the determinism tests repeat each reduced
+// run; every repeat must reproduce the first byte for byte.
+const reductionRepeats = 2
 
 // reductionDedups are the engines the reduced matrix runs on. The verified
 // engine rides along in the partial-determinism matrix; here the
@@ -133,7 +135,7 @@ func stateCensusKeys(x *Exploration) []string {
 }
 
 // reducedDigest is exploreDigest plus the reduction counters, so the
-// per-mode determinism comparison also pins the stats the replay counts.
+// per-mode determinism comparison also pins the stats the walk counts.
 func reducedDigest(x *Exploration) string {
 	return fmt.Sprintf("%+v\n%s", x.Reduction, exploreDigest(x))
 }
@@ -151,11 +153,10 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestReductionDifferential explores every feasible library protocol to
-// completion unreduced on the string-keyed sequential engine, then asserts
-// that each reduced mode, on both handle representations and at
-// parallelism 1 and 8, reproduces the verdict and the decision census —
-// exactly under ample, up to relabeling under symmetry — while remaining
-// byte-deterministic across parallelism within each (mode, engine) pair.
+// completion unreduced on the string-keyed engine, then asserts
+// that each reduced mode, on both handle representations, reproduces the
+// verdict and the decision census — exactly under ample, up to relabeling
+// under symmetry.
 func TestReductionDifferential(t *testing.T) {
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	for _, tc := range reductionCases() {
@@ -164,7 +165,6 @@ func TestReductionDifferential(t *testing.T) {
 				t.Skip("large reference space; skipped in -short")
 			}
 			opts := tc.opts
-			opts.Parallelism = 1
 			opts.Dedup = frontier.DedupStrings
 			opts.Problem = &prob
 			opts.TrackTraces = true
@@ -180,52 +180,42 @@ func TestReductionDifferential(t *testing.T) {
 
 			for _, mode := range reductionModes {
 				for _, dedup := range reductionDedups {
-					var base string
-					for _, par := range reductionParallelism {
-						name := fmt.Sprintf("%v/%v/p%d", mode, dedup, par)
-						opts := tc.opts
-						opts.Parallelism = par
-						opts.Dedup = dedup
-						opts.Problem = &prob
-						opts.TrackTraces = true
-						opts.Reduction = mode
-						x, err := ExploreContext(context.Background(), tc.proto, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+					name := fmt.Sprintf("%v/%v", mode, dedup)
+					opts := tc.opts
+					opts.Dedup = dedup
+					opts.Problem = &prob
+					opts.TrackTraces = true
+					opts.Reduction = mode
+					x, err := ExploreContext(context.Background(), tc.proto, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if x.NodeCount > ref.NodeCount {
+						t.Errorf("%s: reduced run grew the space: %d > %d nodes", name, x.NodeCount, ref.NodeCount)
+					}
+					if got := violationKinds(x); !equalStrings(got, refKinds) {
+						t.Errorf("%s: verdict diverged: kinds %v, want %v", name, got, refKinds)
+					}
+					if mode == ReduceAmple {
+						if got := decisionCensus(x); !equalStrings(got, refCensus) {
+							t.Errorf("%s: decision census diverged (%d vs %d entries)", name, len(got), len(refCensus))
 						}
-						if x.NodeCount > ref.NodeCount {
-							t.Errorf("%s: reduced run grew the space: %d > %d nodes", name, x.NodeCount, ref.NodeCount)
+						if got := stateCensusKeys(x); !equalStrings(got, refStates) {
+							t.Errorf("%s: local-state census diverged (%d vs %d states)", name, len(got), len(refStates))
 						}
-						if got := violationKinds(x); !equalStrings(got, refKinds) {
-							t.Errorf("%s: verdict diverged: kinds %v, want %v", name, got, refKinds)
+					} else {
+						if got := canonicalDecisionCensus(x, perms); !equalStrings(got, refCanon) {
+							t.Errorf("%s: canonical decision census diverged (%d vs %d entries)", name, len(got), len(refCanon))
 						}
-						if mode == ReduceAmple {
-							if got := decisionCensus(x); !equalStrings(got, refCensus) {
-								t.Errorf("%s: decision census diverged (%d vs %d entries)", name, len(got), len(refCensus))
-							}
-							if got := stateCensusKeys(x); !equalStrings(got, refStates) {
-								t.Errorf("%s: local-state census diverged (%d vs %d states)", name, len(got), len(refStates))
-							}
-						} else {
-							if got := canonicalDecisionCensus(x, perms); !equalStrings(got, refCanon) {
-								t.Errorf("%s: canonical decision census diverged (%d vs %d entries)", name, len(got), len(refCanon))
-							}
-						}
-						if x.Conforms() != (len(refKinds) == 0) {
-							t.Errorf("%s: conformance flipped", name)
-						}
-						if !x.Conforms() && len(x.FirstTrace) == 0 {
-							t.Errorf("%s: violating run has no FirstTrace", name)
-						}
-						if x.Conforms() && len(x.FirstTrace) != 0 {
-							t.Errorf("%s: conforming run has a FirstTrace", name)
-						}
-						d := reducedDigest(x)
-						if par == reductionParallelism[0] {
-							base = d
-						} else if d != base {
-							t.Errorf("%s: reduced run not deterministic across parallelism:\n%s", name, firstDiff(base, d))
-						}
+					}
+					if x.Conforms() != (len(refKinds) == 0) {
+						t.Errorf("%s: conformance flipped", name)
+					}
+					if !x.Conforms() && len(x.FirstTrace) == 0 {
+						t.Errorf("%s: violating run has no FirstTrace", name)
+					}
+					if x.Conforms() && len(x.FirstTrace) != 0 {
+						t.Errorf("%s: conforming run has a FirstTrace", name)
 					}
 				}
 			}
@@ -235,7 +225,7 @@ func TestReductionDifferential(t *testing.T) {
 
 // TestReductionPartialDeterminism asserts that budget-capped reduced
 // explorations — which stop mid-space and report a partial prefix — are
-// byte-identical across parallelism for every mode and engine, on the
+// byte-identical across repeated runs for every mode and engine, on the
 // diffCases matrix (including Perverse, whose full space never
 // terminates, exercising the proviso on a cyclic graph).
 func TestReductionPartialDeterminism(t *testing.T) {
@@ -249,29 +239,28 @@ func TestReductionPartialDeterminism(t *testing.T) {
 			for _, mode := range reductionModes {
 				for _, dedup := range dedups {
 					var base string
-					for _, par := range reductionParallelism {
+					for run := 0; run < reductionRepeats; run++ {
 						opts := tc.opts
-						opts.Parallelism = par
 						opts.Dedup = dedup
 						opts.Problem = &prob
 						opts.TrackTraces = true
 						opts.Reduction = mode
 						x, err := ExploreContext(context.Background(), tc.proto, opts)
 						if x == nil {
-							t.Fatalf("%v/%v/p%d: nil exploration (err=%v)", mode, dedup, par, err)
+							t.Fatalf("%v/%v/run%d: nil exploration (err=%v)", mode, dedup, run, err)
 						}
 						// A reduced run may fit the whole quotient space inside
 						// the budget that truncates the full space (that is the
 						// point of the reduction); the digest comparison below
-						// still pins the status across parallelism.
+						// still pins the status across runs.
 						if x.Status != StatusExhausted && x.Status != StatusComplete {
-							t.Fatalf("%v/%v/p%d: status %v, want budget-exhausted or complete", mode, dedup, par, x.Status)
+							t.Fatalf("%v/%v/run%d: status %v, want budget-exhausted or complete", mode, dedup, run, x.Status)
 						}
 						d := reducedDigest(x)
-						if par == reductionParallelism[0] {
+						if run == 0 {
 							base = d
 						} else if d != base {
-							t.Errorf("%v/%v/p%d: partial reduced run diverges:\n%s", mode, dedup, par,
+							t.Errorf("%v/%v/run%d: partial reduced run diverges:\n%s", mode, dedup, run,
 								firstDiff(base, d))
 						}
 					}
@@ -282,26 +271,26 @@ func TestReductionPartialDeterminism(t *testing.T) {
 }
 
 // TestReductionCancelledDeterminism asserts that a cancelled reduced
-// exploration still yields identical partial snapshots at every
-// parallelism level.
+// exploration still yields identical partial snapshots across repeated
+// runs.
 func TestReductionCancelledDeterminism(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	prob := problem(taxonomy.WT, taxonomy.TC)
 	for _, mode := range reductionModes {
 		var base string
-		for _, par := range reductionParallelism {
+		for run := 0; run < reductionRepeats; run++ {
 			x, err := ExploreContext(ctx, protocols.Star{Procs: 3}, Options{
-				MaxFailures: 2, Parallelism: par, Problem: &prob, TrackTraces: true, Reduction: mode,
+				MaxFailures: 2, Problem: &prob, TrackTraces: true, Reduction: mode,
 			})
 			if x == nil {
-				t.Fatalf("%v/p%d: nil exploration", mode, par)
+				t.Fatalf("%v/run%d: nil exploration", mode, run)
 			}
 			if err == nil || x.Status != StatusInterrupted {
-				t.Fatalf("%v/p%d: status = %v, err = %v, want interrupted", mode, par, x.Status, err)
+				t.Fatalf("%v/run%d: status = %v, err = %v, want interrupted", mode, run, x.Status, err)
 			}
 			d := reducedDigest(x)
-			if par == reductionParallelism[0] {
+			if run == 0 {
 				base = d
 				if x.NodeCount < 1 {
 					t.Fatalf("%v: cancelled exploration lost its partial snapshot", mode)
@@ -309,7 +298,7 @@ func TestReductionCancelledDeterminism(t *testing.T) {
 				continue
 			}
 			if d != base {
-				t.Errorf("%v/p%d: cancelled reduced partial diverges:\n%s", mode, par, firstDiff(base, d))
+				t.Errorf("%v/run%d: cancelled reduced partial diverges:\n%s", mode, run, firstDiff(base, d))
 			}
 		}
 	}

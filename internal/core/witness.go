@@ -22,9 +22,6 @@ type WitnessOptions struct {
 	// MaxFailures bounds failure injection for the exhaustive checks
 	// (default 2).
 	MaxFailures int
-	// Parallelism is the worker count for the exhaustive explorations
-	// (0 = GOMAXPROCS). Results are byte-identical at any setting.
-	Parallelism int
 }
 
 func (o WitnessOptions) maxFailures() int {
@@ -130,7 +127,7 @@ func solverWitnesses(opts WitnessOptions) []Evidence {
 	out = append(out, perverseFailureAgreement())
 	for _, c := range cases {
 		for _, p := range c.problems {
-			copts := checker.Options{MaxFailures: opts.maxFailures(), Parallelism: opts.Parallelism}
+			copts := checker.Options{MaxFailures: opts.maxFailures()}
 			if c.proto.Name() == (protocols.Perverse{}).Name() {
 				// The perverse protocol's race bookkeeping makes its
 				// failure-injected space intractable to enumerate; it
@@ -174,7 +171,7 @@ func Theorem8StarChecker(opts WitnessOptions) Evidence {
 		Claim: "the Figure 2 star protocol violates total consistency under failures",
 	}
 	x, err := checker.Check(protocols.Star{Procs: 3}, problemOf(taxonomy.WT, taxonomy.TC),
-		checker.Options{MaxFailures: opts.maxFailures(), Parallelism: opts.Parallelism, StopAtFirstViolation: true})
+		checker.Options{MaxFailures: opts.maxFailures(), StopAtFirstViolation: true})
 	if err != nil {
 		ev.Details = append(ev.Details, err.Error())
 		return ev

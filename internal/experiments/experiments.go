@@ -63,9 +63,6 @@ type Options struct {
 	// with failure injection the N=4 spaces exceed the node budget).
 	// Ignored when Quick is set.
 	Deep bool
-	// Parallelism is the worker count for exhaustive explorations
-	// (0 = GOMAXPROCS). Results are byte-identical at any setting.
-	Parallelism int
 	// Reduction selects a state-space reduction for the conformance
 	// passes of E1–E3 (ample-set partial-order reduction, symmetry
 	// canonicalization, or both). Reductions preserve verdicts, so the
@@ -133,7 +130,7 @@ func unanimity(t taxonomy.Termination, c taxonomy.Consistency) taxonomy.Problem 
 // for the first time.
 func deepCheck(r Report, proto sim.Protocol, p taxonomy.Problem, maxFail int, opts Options) Report {
 	x, err := checker.CheckContext(opts.ctx(), proto, p, checker.Options{
-		MaxFailures: maxFail, Parallelism: opts.Parallelism, Reduction: opts.Reduction,
+		MaxFailures: maxFail, Reduction: opts.Reduction,
 	})
 	if err != nil {
 		return fail(r, err)
@@ -181,7 +178,7 @@ func E1Figure1Tree(opts Options) Report {
 	proto := protocols.Tree{Procs: 7}
 
 	// Regenerate the all-ones (commit) pattern of the figure.
-	en, err := scheme.EnumerateContext(opts.ctx(), proto, ones(7), scheme.Options{Parallelism: opts.Parallelism})
+	en, err := scheme.EnumerateContext(opts.ctx(), proto, ones(7), scheme.Options{})
 	if err != nil {
 		return fail(r, err)
 	}
@@ -202,7 +199,7 @@ func E1Figure1Tree(opts Options) Report {
 
 	if !opts.Quick {
 		x, err := checker.CheckContext(opts.ctx(), protocols.Tree{Procs: 3}, unanimity(taxonomy.WT, taxonomy.TC),
-			checker.Options{MaxFailures: 2, Parallelism: opts.Parallelism, Reduction: opts.Reduction})
+			checker.Options{MaxFailures: 2, Reduction: opts.Reduction})
 		if err != nil {
 			return fail(r, err)
 		}
@@ -246,7 +243,7 @@ func E2Figure2Star(opts Options) Report {
 		return r
 	}
 	x, err := checker.CheckContext(opts.ctx(), protocols.Star{Procs: 3}, unanimity(taxonomy.HT, taxonomy.IC),
-		checker.Options{MaxFailures: 2, Parallelism: opts.Parallelism, Reduction: opts.Reduction})
+		checker.Options{MaxFailures: 2, Reduction: opts.Reduction})
 	if err != nil {
 		return fail(r, err)
 	}
@@ -267,7 +264,7 @@ func E2Figure2Star(opts Options) Report {
 	}
 
 	xTC, err := checker.CheckContext(opts.ctx(), protocols.Star{Procs: 3}, unanimity(taxonomy.WT, taxonomy.TC),
-		checker.Options{MaxFailures: 2, Parallelism: opts.Parallelism, StopAtFirstViolation: true})
+		checker.Options{MaxFailures: 2, StopAtFirstViolation: true})
 	if err != nil {
 		return fail(r, err)
 	}
@@ -278,7 +275,7 @@ func E2Figure2Star(opts Options) Report {
 		r.Measured = append(r.Measured, "WT-TC violation found: "+xTC.Violations[0].Detail)
 	}
 
-	xS, err := checker.ExploreContext(opts.ctx(), protocols.Star{Procs: 3}, checker.Options{MaxFailures: 2, Parallelism: opts.Parallelism})
+	xS, err := checker.ExploreContext(opts.ctx(), protocols.Star{Procs: 3}, checker.Options{MaxFailures: 2})
 	if err != nil {
 		return fail(r, err)
 	}
@@ -302,7 +299,7 @@ func E3Figure3Chain(opts Options) Report {
 		Claim:    "one failure-free pattern (inputs to p0, then a decision chain); solves WT-IC; the pattern cannot support ST-IC",
 		OK:       true,
 	}
-	set, err := scheme.Of(protocols.Chain{Procs: 4}, scheme.Options{Parallelism: opts.Parallelism})
+	set, err := scheme.Of(protocols.Chain{Procs: 4}, scheme.Options{})
 	if err != nil {
 		return fail(r, err)
 	}
@@ -316,7 +313,7 @@ func E3Figure3Chain(opts Options) Report {
 
 	if !opts.Quick {
 		x, err := checker.CheckContext(opts.ctx(), protocols.Chain{Procs: 3}, unanimity(taxonomy.WT, taxonomy.IC),
-			checker.Options{MaxFailures: 2, Parallelism: opts.Parallelism, Reduction: opts.Reduction})
+			checker.Options{MaxFailures: 2, Reduction: opts.Reduction})
 		if err != nil {
 			return fail(r, err)
 		}
@@ -349,7 +346,7 @@ func E4Figure4Perverse(opts Options) Report {
 		Claim:    "exactly 4 failure-free patterns (none / m1 / m2 / m1,m2,m3); no ST-TC protocol shares the scheme",
 		OK:       true,
 	}
-	en, err := scheme.EnumerateContext(opts.ctx(), protocols.Perverse{}, ones(4), scheme.Options{Parallelism: opts.Parallelism})
+	en, err := scheme.EnumerateContext(opts.ctx(), protocols.Perverse{}, ones(4), scheme.Options{})
 	if err != nil {
 		return fail(r, err)
 	}
@@ -371,7 +368,7 @@ func E4Figure4Perverse(opts Options) Report {
 		// the exhaustive pass is failure-free; randomized failure
 		// injection covers the rest (see the lattice witnesses).
 		x, err := checker.CheckContext(opts.ctx(), protocols.Perverse{}, unanimity(taxonomy.WT, taxonomy.TC),
-			checker.Options{MaxFailures: 0, Parallelism: opts.Parallelism})
+			checker.Options{MaxFailures: 0})
 		if err != nil {
 			return fail(r, err)
 		}
@@ -394,7 +391,7 @@ func E5Lattice(opts Options) Report {
 		OK:       true,
 	}
 	l := core.BuildLattice()
-	evidence := core.Witnesses(core.WitnessOptions{Exhaustive: !opts.Quick, Parallelism: opts.Parallelism})
+	evidence := core.Witnesses(core.WitnessOptions{Exhaustive: !opts.Quick})
 	l.Evidence = evidence
 	if !core.AllOK(evidence) {
 		r.OK = false
@@ -486,7 +483,7 @@ func E7Theorem2(opts Options) Report {
 	}
 	r.Measured = append(r.Measured, fmt.Sprintf("%-18s %8s %8s %8s %10s", "protocol", "states", "unsafe", "cor6", "as claimed"))
 	for _, row := range rows {
-		x, err := checker.ExploreContext(opts.ctx(), row.proto, checker.Options{MaxFailures: row.maxFail, Parallelism: opts.Parallelism})
+		x, err := checker.ExploreContext(opts.ctx(), row.proto, checker.Options{MaxFailures: row.maxFail})
 		if err != nil {
 			return fail(r, err)
 		}
@@ -592,15 +589,15 @@ func E9Transforms(opts Options) Report {
 		OK:       true,
 	}
 	inner := protocols.Chain{Procs: 3}
-	s0, err := scheme.Of(inner, scheme.Options{Parallelism: opts.Parallelism})
+	s0, err := scheme.Of(inner, scheme.Options{})
 	if err != nil {
 		return fail(r, err)
 	}
-	sTC, err := scheme.Of(transform.TotalComm{Inner: inner}, scheme.Options{Parallelism: opts.Parallelism})
+	sTC, err := scheme.Of(transform.TotalComm{Inner: inner}, scheme.Options{})
 	if err != nil {
 		return fail(r, err)
 	}
-	sEB, err := scheme.Of(transform.EliminateEBar{Inner: inner}, scheme.Options{Parallelism: opts.Parallelism})
+	sEB, err := scheme.Of(transform.EliminateEBar{Inner: inner}, scheme.Options{})
 	if err != nil {
 		return fail(r, err)
 	}

@@ -1,307 +1,132 @@
-// Package frontier provides the parallel exploration machinery shared by
-// the checker's configuration-space explorer and the scheme enumerator: a
-// fingerprint-partitioned asynchronous worker pool (pool.go), the
-// sequential visited set behind its canonical replay pass, the dedup
-// engines (fpset.go), a concurrent string interner, and sharded map
-// utilities.
+// Package frontier holds the dedup machinery shared by the checker's
+// configuration-space explorer and the scheme enumerator: the Dedup mode
+// selector and SeqVisited, the visited set behind both breadth-first
+// walks.
 //
-// The central discipline is the split into a fully asynchronous,
-// order-free speculation phase and a sequential canonical ordering phase.
-// Pool workers own static shards of the 128-bit fingerprint space and
-// exchange successor batches over bounded channels with no global barrier;
-// they only *prefetch* — admissions to the shared visited set and stored
-// expansions carry no order. Everything order-sensitive — which nodes the
-// result contains, interning, violation ordering, budget cuts — is decided
-// afterwards by a single goroutine replaying the stored results in
-// breadth-first frontier order against its own sequential visited set,
-// re-expanding on demand anything the pool dropped. The observable result
-// is therefore a pure function of the root set, independent of both the
-// parallelism level and the scheduler, which is what lets a differential
-// test assert byte-identical explorations at parallelism 1, 2, 8, and 16.
+// Both walks are single-goroutine FIFO breadth-first searches: a node is
+// expanded when it is dequeued, and its successors are admitted to the
+// visited set in event order. Admission order is therefore the canonical
+// breadth-first order (levels, then frontier position, then event order),
+// and every result — node counts, censuses, violation order, traces, and
+// the partial results of cancelled or budget-exhausted runs — is a pure
+// function of the root set.
 package frontier
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
+import "repro/internal/fingerprint"
+
+// Dedup selects how an explorer deduplicates visited nodes.
+type Dedup int
+
+const (
+	// DedupFingerprint (the default) admits nodes by 128-bit fingerprint
+	// alone. Two distinct nodes collide only with probability ~2^-128 per
+	// pair; canonical strings are never built for dedup.
+	DedupFingerprint Dedup = iota
+	// DedupVerified admits by fingerprint but verifies every fingerprint
+	// hit against the stored canonical key, so a collision downgrades to a
+	// counted event (and the colliding node is explored, not dropped).
+	DedupVerified
+	// DedupStrings is the reference engine: admission by full canonical
+	// key, collision-proof and allocation-heavy. The differential suites
+	// pit the other modes against it.
+	DedupStrings
 )
 
-// numShards is the shard count for VisitedSet, Interner, and ShardedMap. A
-// power of two keeps the index computation a mask.
-const numShards = 64
-
-// shardIndex hashes a key to a shard with FNV-1a.
-func shardIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+// String names the mode.
+func (d Dedup) String() string {
+	switch d {
+	case DedupFingerprint:
+		return "fingerprint"
+	case DedupVerified:
+		return "verified"
+	case DedupStrings:
+		return "strings"
+	default:
+		return "invalid"
 	}
-	return int(h & (numShards - 1))
 }
 
-// Parallelism resolves a requested worker count: zero or negative means
-// GOMAXPROCS.
-func Parallelism(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return runtime.GOMAXPROCS(0)
+// SeqVisited is the visited set of one breadth-first walk, in any of the
+// three dedup modes: 16-byte digests under fingerprint dedup, digests
+// mapped to the canonical keys that produced them under verified dedup,
+// and full canonical keys under strings dedup. It is not safe for
+// concurrent use; each walk owns its set.
+type SeqVisited struct {
+	mode       Dedup
+	fp         map[fingerprint.Digest]struct{}
+	keys       map[string]struct{}
+	verified   map[fingerprint.Digest][]string
+	collisions int64
 }
 
-// Map applies fn to every item with up to parallelism concurrent workers and
-// returns the results in item order. The assignment of items to workers is
-// arbitrary, so fn must confine itself to computation and commutative
-// side effects; order-sensitive state belongs in the caller's merge over the
-// returned slice.
-//
-// Map polls ctx: a context that is already cancelled returns before any fn
-// call, and a cancellation mid-run abandons the remaining items and returns
-// the context's error (fn may have run on an unspecified subset by then, so
-// callers must discard the level on error). If any fn panics, Map waits for
-// the workers to drain and re-panics with the panicking item of lowest
-// index, keeping failure behaviour independent of scheduling.
-func Map[T, R any](ctx context.Context, parallelism int, items []T, fn func(T) R) ([]R, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]R, len(items))
-	workers := Parallelism(parallelism)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for i := range items {
-			if i&63 == 0 && i > 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			out[i] = fn(items[i])
-		}
-		return out, nil
-	}
-
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panics  []panicAt
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				if pv, ok := runOne(&out[i], items[i], fn); !ok {
-					panicMu.Lock()
-					panics = append(panics, panicAt{index: i, value: pv})
-					panicMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if len(panics) > 0 {
-		first := panics[0]
-		for _, p := range panics[1:] {
-			if p.index < first.index {
-				first = p
-			}
-		}
-		panic(first.value)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-type panicAt struct {
-	index int
-	value any
-}
-
-// runOne runs fn on one item, capturing a panic instead of unwinding the
-// worker goroutine.
-func runOne[T, R any](dst *R, item T, fn func(T) R) (panicValue any, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicValue, ok = r, false
-		}
-	}()
-	*dst = fn(item)
-	return nil, true
-}
-
-// VisitedSet is a set of canonical node keys sharded by key hash. Reads
-// (Seen) and writes (Add) are independently safe for concurrent use; the
-// level-synchronous explorers only write from the sequential merge phase,
-// so expansion-phase reads never block each other.
-type VisitedSet struct {
-	shards [numShards]visitShard
-}
-
-type visitShard struct {
-	mu sync.RWMutex
-	m  map[string]struct{} // ccvet:guardedby mu
-}
-
-// NewVisitedSet returns an empty set.
-func NewVisitedSet() *VisitedSet {
-	v := &VisitedSet{}
-	for i := range v.shards {
-		v.shards[i].m = make(map[string]struct{})
+// NewSeqVisited returns an empty set for the given dedup mode.
+func NewSeqVisited(mode Dedup) *SeqVisited {
+	v := &SeqVisited{mode: mode}
+	switch mode {
+	case DedupFingerprint:
+		v.fp = make(map[fingerprint.Digest]struct{})
+	case DedupVerified:
+		v.verified = make(map[fingerprint.Digest][]string)
+	default:
+		v.keys = make(map[string]struct{})
 	}
 	return v
 }
 
-// Seen reports whether the key has been added.
-func (v *VisitedSet) Seen(key string) bool {
-	sh := &v.shards[shardIndex(key)]
-	sh.mu.RLock()
-	_, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// Add inserts the key, reporting whether it was new.
-func (v *VisitedSet) Add(key string) bool {
-	sh := &v.shards[shardIndex(key)]
-	sh.mu.Lock()
-	_, ok := sh.m[key]
-	if !ok {
-		sh.m[key] = struct{}{}
-	}
-	sh.mu.Unlock()
-	return !ok
-}
-
-// Len returns the number of keys added.
-func (v *VisitedSet) Len() int {
-	n := 0
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Interner deduplicates strings across goroutines: equal keys computed by
-// different workers collapse to one retained copy, which keeps the
-// aggregated state maps allocation-lean (a state key is retained once
-// however many million configurations it occurs in).
-type Interner struct {
-	shards [numShards]internShard
-}
-
-type internShard struct {
-	mu sync.RWMutex
-	m  map[string]string // ccvet:guardedby mu
-}
-
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	in := &Interner{}
-	for i := range in.shards {
-		in.shards[i].m = make(map[string]string)
-	}
-	return in
-}
-
-// Intern returns the canonical copy of s, storing s itself on first use.
-func (in *Interner) Intern(s string) string {
-	sh := &in.shards[shardIndex(s)]
-	sh.mu.RLock()
-	c, ok := sh.m[s]
-	sh.mu.RUnlock()
-	if ok {
-		return c
-	}
-	sh.mu.Lock()
-	if c, ok = sh.m[s]; !ok {
-		sh.m[s] = s
-		c = s
-	}
-	sh.mu.Unlock()
-	return c
-}
-
-// ShardedMap is a string-keyed map sharded by key hash, for concurrent
-// commutative aggregation: workers from the expansion phase update values
-// under per-shard mutexes. Content ends up deterministic as long as every
-// update is a set-union-style operation whose result is independent of
-// update order; anything order-sensitive belongs in the merge phase instead.
-type ShardedMap[V any] struct {
-	shards [numShards]mapShard[V]
-}
-
-type mapShard[V any] struct {
-	mu sync.Mutex
-	m  map[string]V // ccvet:guardedby mu
-}
-
-// NewShardedMap returns an empty map.
-func NewShardedMap[V any]() *ShardedMap[V] {
-	s := &ShardedMap[V]{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]V)
-	}
-	return s
-}
-
-// Update applies fn to the value under key while holding the shard lock. fn
-// receives the zero value if the key is absent and its return value is
-// stored. fn must not touch the ShardedMap (the shard lock is held).
-func (s *ShardedMap[V]) Update(key string, fn func(V) V) {
-	sh := &s.shards[shardIndex(key)]
-	sh.mu.Lock()
-	sh.m[key] = fn(sh.m[key])
-	sh.mu.Unlock()
-}
-
-// Get returns the value under key.
-func (s *ShardedMap[V]) Get(key string) (V, bool) {
-	sh := &s.shards[shardIndex(key)]
-	sh.mu.Lock()
-	v, ok := sh.m[key]
-	sh.mu.Unlock()
-	return v, ok
-}
-
-// Len returns the number of keys.
-func (s *ShardedMap[V]) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Snapshot merges the shards into one plain map.
-func (s *ShardedMap[V]) Snapshot() map[string]V {
-	out := make(map[string]V, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.m { //ccvet:ignore detrange keyed copy into a map; order is unobservable
-			out[k] = v
+// Admit inserts the node's dedup handle, reporting whether it was new.
+// Only the handle the mode compares is read: fp under fingerprint dedup,
+// key under strings dedup, both under verified dedup, where a digest
+// already holding a different key counts as a collision and the new key
+// is admitted rather than merged away.
+func (v *SeqVisited) Admit(fp fingerprint.Digest, key string) bool {
+	switch v.mode {
+	case DedupFingerprint:
+		if _, ok := v.fp[fp]; ok {
+			return false
 		}
-		sh.mu.Unlock()
+		v.fp[fp] = struct{}{}
+		return true
+	case DedupVerified:
+		keys := v.verified[fp]
+		for _, k := range keys {
+			if k == key {
+				return false
+			}
+		}
+		if len(keys) > 0 {
+			v.collisions++
+		}
+		v.verified[fp] = append(keys, key)
+		return true
+	default:
+		if _, ok := v.keys[key]; ok {
+			return false
+		}
+		v.keys[key] = struct{}{}
+		return true
 	}
-	return out
 }
+
+// Seen reports whether the node's dedup handle has already been admitted,
+// without admitting it.
+func (v *SeqVisited) Seen(fp fingerprint.Digest, key string) bool {
+	switch v.mode {
+	case DedupFingerprint:
+		_, ok := v.fp[fp]
+		return ok
+	case DedupVerified:
+		for _, k := range v.verified[fp] {
+			if k == key {
+				return true
+			}
+		}
+		return false
+	default:
+		_, ok := v.keys[key]
+		return ok
+	}
+}
+
+// Collisions returns the number of verified fingerprint collisions
+// detected so far (always 0 outside verified mode).
+func (v *SeqVisited) Collisions() int64 { return v.collisions }

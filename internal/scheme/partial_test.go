@@ -38,31 +38,31 @@ func TestCancelledOfReturnsPartialResults(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionExactAtEveryWidth sweeps the exact-MaxNodes contract
-// across parallelism widths: the replay accepts exactly MaxNodes
-// configurations before reporting Exhausted, whether or not the prefetch
-// pool overshot the budget speculatively.
-func TestBudgetExhaustionExactAtEveryWidth(t *testing.T) {
+// TestBudgetExhaustionExactUnderEveryDedup sweeps the exact-MaxNodes
+// contract across the dedup engines: the walk accepts exactly MaxNodes
+// configurations before reporting Exhausted, whichever visited-set
+// representation admits them.
+func TestBudgetExhaustionExactUnderEveryDedup(t *testing.T) {
 	// Full exchange's failure-free space has 127 nodes; 60 cuts mid-space.
 	const budget = 60
-	for _, par := range []int{1, 2, 8, 16} {
+	for _, dedup := range diffDedups {
 		e, err := EnumerateContext(context.Background(), protocols.FullExchange{Procs: 3},
-			allOnes(3), Options{MaxNodes: budget, Parallelism: par})
+			allOnes(3), Options{MaxNodes: budget, Dedup: dedup})
 		if e == nil {
-			t.Fatalf("width %d: exhausted enumeration must still return the partial Enumeration", par)
+			t.Fatalf("%v: exhausted enumeration must still return the partial Enumeration", dedup)
 		}
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Nodes != budget {
-			t.Fatalf("width %d: err = %v, want *BudgetError with Nodes=%d", par, err, budget)
+			t.Fatalf("%v: err = %v, want *BudgetError with Nodes=%d", dedup, err, budget)
 		}
 		if e.Status != StatusExhausted {
-			t.Fatalf("width %d: status = %v, want exhausted", par, e.Status)
+			t.Fatalf("%v: status = %v, want exhausted", dedup, e.Status)
 		}
 		if e.Visited != budget {
-			t.Fatalf("width %d: Visited = %d, want exactly the budget %d", par, e.Visited, budget)
+			t.Fatalf("%v: Visited = %d, want exactly the budget %d", dedup, e.Visited, budget)
 		}
 		if e.Frontier == 0 {
-			t.Fatalf("width %d: exhausted mid-space but Frontier = 0", par)
+			t.Fatalf("%v: exhausted mid-space but Frontier = 0", dedup)
 		}
 	}
 }

@@ -126,12 +126,6 @@ type Options struct {
 	// sim.DefaultMaxNodes, the budget shared with checker.Options).
 	// Enumeration fails rather than silently truncating.
 	MaxNodes int
-	// Parallelism is the number of owner workers the partitioned engine
-	// shards the digest space across (0 = GOMAXPROCS; 1 = fully
-	// sequential, no pool at all). The resulting Enumeration is
-	// byte-identical at any setting; parallelism only changes wall-clock
-	// time.
-	Parallelism int
 	// Dedup selects the visited-node representation, exactly as in
 	// checker.Options: fingerprint (default), verified, or canonical
 	// strings. All three produce byte-identical Enumerations (the
@@ -328,89 +322,45 @@ func Enumerate(proto sim.Protocol, inputs []sim.Bit, opts Options) (*Set, error)
 	return en.Set, err
 }
 
-// enumSucc is one successor generated while expanding a frontier node. nd is
-// nil when the successor was already in the shared visited set when the
-// expansion ran — in which case the set's admit-implies-stored invariant
-// lets the canonical replay fetch the materialized node from the pool.
-// Under strings dedup at parallelism > 1, fp carries a routing digest of
-// the canonical key so the partitioned pool can shard successors.
+// enumSucc is one successor generated while expanding a dequeued node. nd
+// is nil when the successor was already visited when the expansion ran, so
+// the walk rejects it without materializing.
 type enumSucc struct {
 	key string
 	fp  fingerprint.Digest
 	nd  *node
 }
 
-// enumExpansion is one frontier node's worth of results: either the node was
-// maximal (no enabled events — its pattern belongs to the scheme) or it
-// produced successors.
+// enumExpansion is one dequeued node's worth of results: either the node
+// was maximal (no enabled events — its pattern belongs to the scheme) or
+// it produced successors.
 type enumExpansion struct {
 	maximal *pattern.Pattern
 	succs   []enumSucc
 	err     error
 }
 
-// enumerator carries one enumeration's dedup machinery across the pool's
-// owner workers and the canonical replay, mirroring the checker's three
-// engines.
+// enumerator carries one enumeration's dedup machinery, mirroring the
+// checker's three engines.
 type enumerator struct {
-	proto      sim.Protocol
-	dedup      frontier.Dedup
-	visited    *frontier.VisitedSet   // strings dedup
-	fpVisited  *frontier.FPVisitedSet // fingerprint dedup
-	fpVerified *frontier.FPVerifiedSet
-	pr         *sim.Predictor // fingerprint dedup only
-	// pool is the asynchronous partitioned prefetch engine (nil at
-	// parallelism 1); seq is the replay's sequential visited set, whose
-	// admissions define the result when the pool runs.
-	pool *frontier.Pool[*enumSucc, enumExpansion]
-	seq  *frontier.SeqVisited
-	// routeFP marks strings dedup at parallelism > 1 (see enumSucc.fp).
-	routeFP bool
+	proto   sim.Protocol
+	dedup   frontier.Dedup
+	visited *frontier.SeqVisited
+	pr      *sim.Predictor // fingerprint dedup only
 }
 
 func newEnumerator(proto sim.Protocol, dedup frontier.Dedup) *enumerator {
-	e := &enumerator{proto: proto, dedup: dedup}
-	switch dedup {
-	case frontier.DedupFingerprint:
-		e.fpVisited = frontier.NewFPVisitedSet()
+	e := &enumerator{proto: proto, dedup: dedup, visited: frontier.NewSeqVisited(dedup)}
+	if dedup == frontier.DedupFingerprint {
 		e.pr = sim.NewPredictor()
-	case frontier.DedupVerified:
-		e.fpVerified = frontier.NewFPVerifiedSet()
-	default:
-		e.visited = frontier.NewVisitedSet()
 	}
 	return e
 }
 
-// seen reports whether the successor's dedup handle was already visited
-// when the level started expanding.
-func (e *enumerator) seen(s *enumSucc) bool {
-	switch e.dedup {
-	case frontier.DedupFingerprint:
-		return e.fpVisited.Seen(s.fp)
-	case frontier.DedupVerified:
-		return e.fpVerified.Seen(s.fp, s.key)
-	default:
-		return e.visited.Seen(s.key)
-	}
-}
-
-// admit marks the successor visited, reporting whether it was new. Merge
-// phase only.
-func (e *enumerator) admit(s *enumSucc) bool {
-	switch e.dedup {
-	case frontier.DedupFingerprint:
-		return e.fpVisited.Add(s.fp)
-	case frontier.DedupVerified:
-		return e.fpVerified.Add(s.fp, s.key)
-	default:
-		return e.visited.Add(s.key)
-	}
-}
-
-// rootSucc wraps the initial node as a successor with its dedup handles.
-func (e *enumerator) rootSucc(nd *node) enumSucc {
-	s := enumSucc{nd: nd}
+// handle computes a materialized node's dedup handle: fingerprint,
+// canonical key, or both, as the dedup mode compares.
+func (e *enumerator) handle(nd *node) enumSucc {
+	var s enumSucc
 	switch e.dedup {
 	case frontier.DedupFingerprint:
 		s.fp = nd.fp()
@@ -418,53 +368,8 @@ func (e *enumerator) rootSucc(nd *node) enumSucc {
 		s.key, s.fp = nd.key(), nd.fp()
 	default:
 		s.key = nd.key()
-		if e.routeFP {
-			s.fp = fingerprint.OfString(s.key)
-		}
 	}
 	return s
-}
-
-// resolve admits one successor against the replay's visited set and
-// resolves its materialized node: from the succ itself when the expanding
-// worker materialized it, from the pool store otherwise (a shared-set
-// admit is always immediately followed by the store).
-func (e *enumerator) resolve(s *enumSucc) (*enumSucc, bool) {
-	if e.pool == nil {
-		if s.nd == nil || !e.admit(s) {
-			return nil, false
-		}
-		return s, true
-	}
-	if !e.seq.Admit(s.fp, s.key) {
-		return nil, false
-	}
-	if s.nd != nil {
-		return s, true
-	}
-	stored, _, state := e.pool.WaitEntry(frontier.NodeKey{FP: s.fp, Key: s.key}, false)
-	if state == frontier.EntryMissing {
-		panic("scheme: visited successor missing from the partitioned store")
-	}
-	return stored, true
-}
-
-// expandForPool is the pool's Expand callback: generate successors and
-// route onward every materialized one. A protocol error stops the pool —
-// the replay re-derives and reports it in canonical order.
-func (e *enumerator) expandForPool(s *enumSucc) (enumExpansion, []*enumSucc) {
-	exp := e.expand(s.nd)
-	if exp.err != nil {
-		e.pool.Stop()
-		return exp, nil
-	}
-	var routed []*enumSucc
-	for j := range exp.succs {
-		if exp.succs[j].nd != nil {
-			routed = append(routed, &exp.succs[j])
-		}
-	}
-	return exp, routed
 }
 
 // predictSeen derives the fingerprint that ev's successor node would have
@@ -504,16 +409,16 @@ func (e *enumerator) predictSeen(nd *node, ev sim.Event) (fingerprint.Digest, bo
 		return fingerprint.Digest{}, false
 	}
 	fp := pred.CfgFP.Add(patFP.Mixed(saltPat)).Add(knownFP)
-	if !e.fpVisited.Seen(fp) {
+	if !e.visited.Seen(fp, "") {
 		return fingerprint.Digest{}, false
 	}
 	return fp, true
 }
 
-// expand generates one node's successors. Runs on a worker: reads the
-// visited set but never writes it. Under fingerprint dedup, successors
-// whose predicted fingerprint is already visited are skipped without
-// cloning the node or applying the event.
+// expand generates one node's successors, materializing only those not
+// yet visited. Under fingerprint dedup, successors whose predicted
+// fingerprint is already visited are skipped without cloning the node or
+// applying the event.
 func (e *enumerator) expand(nd *node) enumExpansion {
 	events := sim.Enabled(nd.cfg)
 	if len(events) == 0 {
@@ -543,19 +448,8 @@ func (e *enumerator) expand(nd *node) enumExpansion {
 		nxt := nd.cloneFor(ev)
 		nxt.cfg = cfg
 		applyEffect(nxt, eff)
-		s := enumSucc{}
-		switch e.dedup {
-		case frontier.DedupFingerprint:
-			s.fp = nxt.fp()
-		case frontier.DedupVerified:
-			s.key, s.fp = nxt.key(), nxt.fp()
-		default:
-			s.key = nxt.key()
-			if e.routeFP {
-				s.fp = fingerprint.OfString(s.key)
-			}
-		}
-		if !e.seen(&s) {
+		s := e.handle(nxt)
+		if !e.visited.Seen(s.fp, s.key) {
 			s.nd = nxt
 		}
 		out.succs = append(out.succs, s)
@@ -568,14 +462,10 @@ func (e *enumerator) expand(nd *node) enumExpansion {
 // every pattern completed so far, with Status and Frontier set — alongside a
 // non-nil error.
 //
-// The walk is fingerprint-partitioned and asynchronous: Options.Parallelism
-// owner workers each hold a static shard of the digest space and expand
-// with no global barrier (frontier.Pool), while a sequential canonical
-// replay consumes the stored expansions in breadth-first frontier order —
-// re-expanding on demand whatever the pool dropped — and alone decides
-// acceptance and the budget, so the Enumeration (patterns, Visited,
-// Frontier, Status) is byte-identical at every parallelism level. See
-// internal/frontier.
+// The walk is one single-goroutine FIFO breadth-first search that admits
+// successors to the visited set in event order, so the Enumeration
+// (patterns, Visited, Frontier, Status) is a pure function of the protocol,
+// the inputs, and the options under every dedup engine.
 func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit, opts Options) (*Enumeration, error) {
 	if len(inputs) != proto.N() {
 		return nil, fmt.Errorf("scheme: protocol %s wants %d inputs, got %d", proto.Name(), proto.N(), len(inputs))
@@ -599,70 +489,25 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 		en.Frontier = 1
 		return en, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
 	}
-	workers := frontier.Parallelism(opts.Parallelism)
-	e.routeFP = opts.Dedup == frontier.DedupStrings && workers > 1
-	root := e.rootSucc(start)
-	if workers > 1 {
-		// The partitioned pool speculatively admits (shared set) and
-		// expands ahead of the replay; the replay below is the only
-		// authority on acceptance and the budget.
-		e.seq = frontier.NewSeqVisited(opts.Dedup)
-		pool := frontier.NewPool(frontier.PoolOptions[*enumSucc, enumExpansion]{
-			Workers: workers,
-			Cap:     int64(opts.maxNodes()),
-			KeyOf:   func(s *enumSucc) frontier.NodeKey { return frontier.NodeKey{FP: s.fp, Key: s.key} },
-			Admit:   func(s *enumSucc) bool { return e.admit(s) },
-			Expand:  e.expandForPool,
-		})
-		e.pool = pool
-		pool.Start(ctx, []*enumSucc{&root})
-		defer pool.Close()
-		e.seq.Admit(root.fp, root.key)
-	} else {
-		e.admit(&root)
-	}
+	root := e.handle(start)
+	e.visited.Admit(root.fp, root.key)
 
-	// Canonical replay: a FIFO walk over accepted nodes reproducing the
-	// breadth-first frontier order of a sequential enumeration. queued
-	// slots are zeroed once consumed so walked nodes can be reclaimed.
-	type queued struct {
-		nd *node
-		k  frontier.NodeKey
-	}
+	// queue slots are nilled once consumed so walked nodes can be
+	// reclaimed.
 	accepted := 1
-	queue := []queued{{nd: start, k: frontier.NodeKey{FP: root.fp, Key: root.key}}}
+	queue := []*node{start}
 	head := 0
 	for head < len(queue) {
-		q := queue[head]
-		queue[head] = queued{}
+		nd := queue[head]
+		queue[head] = nil
 		head++
-		// The context check precedes the prefetch lookup so cancellation
-		// interrupts the walk at the same canonical boundary (a dequeue)
-		// whether or not the pool got ahead of it.
 		if err := ctx.Err(); err != nil {
 			en.Status = StatusInterrupted
 			en.Visited = accepted
 			en.Frontier = len(queue) - head + 1
 			return en, fmt.Errorf("scheme: enumeration of %s interrupted: %w", proto.Name(), err)
 		}
-		var exp *enumExpansion
-		if e.pool != nil {
-			if _, pexp, state := e.pool.WaitEntry(q.k, true); state == frontier.EntryExpanded {
-				exp = &pexp
-			}
-		}
-		if exp == nil {
-			// The pool never expanded this node (cap, panic, or a stop —
-			// a cancellation that raced the lookup surfaces here).
-			if err := ctx.Err(); err != nil {
-				en.Status = StatusInterrupted
-				en.Visited = accepted
-				en.Frontier = len(queue) - head + 1
-				return en, fmt.Errorf("scheme: enumeration of %s interrupted: %w", proto.Name(), err)
-			}
-			fresh := e.expand(q.nd)
-			exp = &fresh
-		}
+		exp := e.expand(nd)
 		if exp.err != nil {
 			return nil, exp.err
 		}
@@ -671,8 +516,8 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 			continue
 		}
 		for j := range exp.succs {
-			acc, ok := e.resolve(&exp.succs[j])
-			if !ok {
+			s := &exp.succs[j]
+			if s.nd == nil || !e.visited.Admit(s.fp, s.key) {
 				continue
 			}
 			if accepted >= opts.maxNodes() {
@@ -682,16 +527,11 @@ func EnumerateContext(ctx context.Context, proto sim.Protocol, inputs []sim.Bit,
 				return en, &BudgetError{Protocol: proto.Name(), Nodes: opts.maxNodes()}
 			}
 			accepted++
-			queue = append(queue, queued{nd: acc.nd, k: frontier.NodeKey{FP: acc.fp, Key: acc.key}})
+			queue = append(queue, s.nd)
 		}
 	}
 	en.Visited = accepted
-	switch {
-	case e.seq != nil && opts.Dedup == frontier.DedupVerified:
-		en.Collisions = e.seq.Collisions()
-	case e.fpVerified != nil && e.seq == nil:
-		en.Collisions = e.fpVerified.Collisions()
-	}
+	en.Collisions = e.visited.Collisions()
 	return en, nil
 }
 

@@ -278,24 +278,6 @@ func (c *Config) WithoutDeadBuffers() (*Config, bool) {
 	return out, true
 }
 
-// SameChannelSeqs reports whether two configurations carry identical
-// per-channel sequence counters. Key and Fingerprint deliberately exclude
-// the counters, so content-equal configurations can still disagree on the
-// identities future messages would get; callers that want to reuse work
-// computed from one configuration on behalf of another (the canonical
-// replay's prefetch check) must compare the counters explicitly.
-func (c *Config) SameChannelSeqs(d *Config) bool {
-	if len(c.seq) != len(d.seq) {
-		return false
-	}
-	for i := range c.seq {
-		if c.seq[i] != d.seq[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // nextSeq allocates the next sequence number from→to.
 func (c *Config) nextSeq(from, to ProcID) int {
 	i := int(from)*c.N() + int(to)

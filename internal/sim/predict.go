@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"repro/internal/fingerprint"
-)
+import "repro/internal/fingerprint"
 
 // PredictSuccessor computes the fingerprint that e(C) would have — and the
 // post-state of the stepping processor — without materializing e(C). The
@@ -134,46 +130,20 @@ type predictEntry struct {
 	payloadKey string
 }
 
-const predictShards = 64
-
-type predictShard struct {
-	mu sync.RWMutex
-	m  map[fingerprint.Digest]predictEntry // ccvet:guardedby mu
-}
-
-// Predictor is a concurrency-safe transition cache for fingerprint
-// prediction. It memoizes Receive/SendStep outcomes by input digests, so
-// repeated transitions cost two map probes instead of a protocol callback
-// plus state hashing. Like fingerprint dedup itself, the cache identifies
-// inputs by 128-bit digest: a hash collision could return the wrong
-// cached outcome, which is why explorers use it only in fingerprint mode
-// (never under verified or string dedup).
+// Predictor is a transition cache for fingerprint prediction. It memoizes
+// Receive/SendStep outcomes by input digests, so repeated transitions cost
+// one map probe instead of a protocol callback plus state hashing. Like
+// fingerprint dedup itself, the cache identifies inputs by 128-bit digest:
+// a hash collision could return the wrong cached outcome, which is why
+// explorers use it only in fingerprint mode (never under verified or
+// string dedup). It is not safe for concurrent use; each walk owns one.
 type Predictor struct {
-	shards [predictShards]predictShard
+	m map[fingerprint.Digest]predictEntry
 }
 
 // NewPredictor returns an empty transition cache.
 func NewPredictor() *Predictor {
-	pr := &Predictor{}
-	for i := range pr.shards {
-		pr.shards[i].m = make(map[fingerprint.Digest]predictEntry)
-	}
-	return pr
-}
-
-func (pr *Predictor) lookup(key fingerprint.Digest) (predictEntry, bool) {
-	sh := &pr.shards[key.Lo&(predictShards-1)]
-	sh.mu.RLock()
-	ent, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return ent, ok
-}
-
-func (pr *Predictor) store(key fingerprint.Digest, ent predictEntry) {
-	sh := &pr.shards[key.Lo&(predictShards-1)]
-	sh.mu.Lock()
-	sh.m[key] = ent
-	sh.mu.Unlock()
+	return &Predictor{m: make(map[fingerprint.Digest]predictEntry)}
 }
 
 // deliverCacheKey identifies a Receive transition by processor, state
@@ -228,10 +198,10 @@ func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, boo
 		}
 		stateD := c.stateD[p]
 		key := sendCacheKey(p, stateD)
-		ent, ok := pr.lookup(key)
+		ent, ok := pr.m[key]
 		if !ok {
 			ent = computeSendEntry(proto, p, c.States[p])
-			pr.store(key, ent)
+			pr.m[key] = ent
 		}
 		if !ent.valid || (ent.hasEnv && int(ent.envTo) >= c.N()) {
 			return Predicted{}, false
@@ -259,10 +229,10 @@ func (pr *Predictor) Predict(proto Protocol, c *Config, e Event) (Predicted, boo
 		stateD := c.stateD[p]
 		md := m.Digest()
 		key := deliverCacheKey(p, stateD, md)
-		ent, ok := pr.lookup(key)
+		ent, ok := pr.m[key]
 		if !ok {
 			ent = computeDeliverEntry(proto, p, c.States[p], m)
-			pr.store(key, ent)
+			pr.m[key] = ent
 		}
 		if !ent.valid {
 			return Predicted{}, false
@@ -299,10 +269,10 @@ func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event) (*Config, E
 		c.Fingerprint() // warm stateD so cache keys and setStateD apply
 		stateD := c.stateD[p]
 		key := sendCacheKey(p, stateD)
-		ent, ok := pr.lookup(key)
+		ent, ok := pr.m[key]
 		if !ok {
 			ent = computeSendEntry(proto, p, c.States[p])
-			pr.store(key, ent)
+			pr.m[key] = ent
 		}
 		if !ent.valid || (ent.hasEnv && int(ent.envTo) >= c.N()) {
 			return Apply(proto, c, e)
@@ -332,10 +302,10 @@ func (pr *Predictor) Materialize(proto Protocol, c *Config, e Event) (*Config, E
 		c.Fingerprint()
 		stateD := c.stateD[p]
 		key := deliverCacheKey(p, stateD, m.Digest())
-		ent, ok := pr.lookup(key)
+		ent, ok := pr.m[key]
 		if !ok {
 			ent = computeDeliverEntry(proto, p, c.States[p], m)
-			pr.store(key, ent)
+			pr.m[key] = ent
 		}
 		if !ent.valid {
 			return Apply(proto, c, e)
